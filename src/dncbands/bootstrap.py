@@ -1,11 +1,13 @@
 """Bootstrap replicates of the averaged prediction vector.
 
-The empirical scheme resamples the P local prediction rows with
-replacement, exactly P draws per replicate, and averages; the
-multiplier scheme reweights the rows with i.i.d. weights of mean 1 and
-variance 1.  Both operate purely on the P x T matrix of local
-estimator values -- no kernel evaluation and no access to the raw
-data, so a replicate costs O(P) row operations.
+Both schemes compute deltas = W @ (V - v_bar) / P, where V is the P x T
+matrix of local estimator values, v_bar its pinned row mean and W a
+B x P weight matrix: resample counts of P draws with replacement
+(empirical) or i.i.d. weights of mean 1 and variance 1 (multiplier).
+Centring makes the deltas invariant to shifting every local prediction
+by a constant.  A column whose P values are all equal is centred to
+exactly zero, so its deltas are exactly zero and calibration flags it
+as degenerate.  No kernel is evaluated and the raw data are never read.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from .dnc import LocalPredictionMatrix
 
 MULTIPLIER_DISTRIBUTIONS = ("gaussian", "poisson")
 
-# cap on the number of resample indices materialized at once
-_CHUNK_CELLS = 1 << 22
-
 
 @dataclass(frozen=True)
 class BootstrapDraws:
@@ -28,48 +27,38 @@ class BootstrapDraws:
 
     scheme: str
     deltas: np.ndarray  # (B, T), row b = f_bar^b - f_bar
-    seed: object = None
 
     @property
     def replicates(self) -> int:
         return self.deltas.shape[0]
 
-    @property
-    def points(self) -> int:
-        return self.deltas.shape[1]
+
+def _weighted_deltas(values: np.ndarray, row_mean: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W @ (V - v_bar) / P, with constant columns of V centred to exactly 0."""
+    constant = np.all(values == values[0], axis=0)
+    centered = np.where(constant, 0.0, values - row_mean)
+    return weights @ centered / values.shape[0]
 
 
 def resample_deltas(values: np.ndarray, row_mean: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Centered resample averages for given row-index draws.
 
-    idx has one row of P indices per replicate.  The selected rows are
-    accumulated in draw order with the same recipe as the pinned row
-    mean, so a resample of P identical rows reproduces row_mean bitwise
-    and its delta is exactly zero.
+    idx has one row of P indices per replicate; each row becomes the
+    count of every index in it, the replicate's weight vector.
     """
-    selected = values[idx]  # (b, P, T)
-    acc = selected[:, 0].copy()
-    for p in range(1, selected.shape[1]):
-        acc += selected[:, p]
-    return acc / selected.shape[1] - row_mean
+    b, p = idx.shape
+    flat = (idx + p * np.arange(b)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=b * p).reshape(b, p)
+    return _weighted_deltas(values, row_mean, counts.astype(np.float64))
 
 
 def empirical_draws(matrix: LocalPredictionMatrix, n_replicates: int, seed) -> BootstrapDraws:
     """Resample the local rows with replacement, P draws per replicate."""
     if n_replicates < 1:
         raise ValueError(f"replicate count must be positive, got {n_replicates}")
-    values = matrix.values
     p = matrix.partitions
-    rng = np.random.default_rng(seed)
-    deltas = np.empty((n_replicates, matrix.points), dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // (p * max(1, matrix.points)))
-    done = 0
-    while done < n_replicates:
-        b = min(chunk, n_replicates - done)
-        idx = rng.integers(0, p, size=(b, p))
-        deltas[done : done + b] = resample_deltas(values, matrix.row_mean, idx)
-        done += b
-    return BootstrapDraws("empirical", deltas, seed)
+    idx = np.random.default_rng(seed).integers(0, p, size=(n_replicates, p))
+    return BootstrapDraws("empirical", resample_deltas(matrix.values, matrix.row_mean, idx))
 
 
 def multiplier_draws(
@@ -78,28 +67,20 @@ def multiplier_draws(
     seed,
     dist: str = "gaussian",
 ) -> BootstrapDraws:
-    """Reweight the local rows with i.i.d. weights, mean 1 and variance 1."""
+    """Reweight the centred local rows with i.i.d. weights, mean 1 and variance 1."""
     if n_replicates < 1:
         raise ValueError(f"replicate count must be positive, got {n_replicates}")
     if dist not in MULTIPLIER_DISTRIBUTIONS:
         raise ValueError(
             f"multiplier distribution must be one of {MULTIPLIER_DISTRIBUTIONS}, got {dist!r}"
         )
-    values = matrix.values
-    p = matrix.partitions
     rng = np.random.default_rng(seed)
-    deltas = np.empty((n_replicates, matrix.points), dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // p)
-    done = 0
-    while done < n_replicates:
-        b = min(chunk, n_replicates - done)
-        if dist == "gaussian":
-            w = rng.normal(1.0, 1.0, size=(b, p))
-        else:
-            w = rng.poisson(1.0, size=(b, p)).astype(np.float64)
-        deltas[done : done + b] = w @ values / p - matrix.row_mean
-        done += b
-    return BootstrapDraws("multiplier", deltas, seed)
+    size = (n_replicates, matrix.partitions)
+    if dist == "gaussian":
+        w = rng.normal(1.0, 1.0, size=size)
+    else:
+        w = rng.poisson(1.0, size=size).astype(np.float64)
+    return BootstrapDraws("multiplier", _weighted_deltas(matrix.values, matrix.row_mean, w))
 
 
 def bootstrap_moments(draws: BootstrapDraws) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +90,3 @@ def bootstrap_moments(draws: BootstrapDraws) -> tuple[np.ndarray, np.ndarray]:
     mean = draws.deltas.mean(axis=0)
     sd = draws.deltas.std(axis=0, ddof=1)
     return mean, sd
-
-
-def save_deltas_csv(draws: BootstrapDraws, path) -> None:
-    """Dump the delta matrix, one row per replicate, header t0..t{T-1}."""
-    header = ",".join(f"t{t}" for t in range(draws.points))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in draws.deltas:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

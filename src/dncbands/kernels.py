@@ -58,16 +58,37 @@ def _as_points(x) -> np.ndarray:
 
 def matern_profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Kernel value as a function of the Euclidean distance r >= 0."""
-    u = np.sqrt(2.0 * spec.nu) * np.asarray(r, dtype=np.float64) / spec.lengthscale
-    if spec.nu == 0.5:
-        poly = 1.0
-    elif spec.nu == 1.5:
-        poly = 1.0 + u
-    elif spec.nu == 2.5:
-        poly = 1.0 + u + u * u / 3.0
-    else:  # nu == 3.5
-        poly = 1.0 + u + 0.4 * u * u + u * u * u / 15.0
-    return spec.output_scale * poly * np.exp(-u)
+    return _matern_profile_inplace(spec, np.array(r, dtype=np.float64))
+
+
+def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """matern_profile computed in r's buffer, which it overwrites.
+
+    The steps are those of s * p(u) * exp(-u) in the same order, so the
+    values are bitwise equal; two more buffers of r's shape are used.
+    """
+    u = r
+    u *= np.sqrt(2.0 * spec.nu)
+    u /= spec.lengthscale
+    poly = np.ones_like(u) if spec.nu == 0.5 else u + 1.0
+    if spec.nu == 2.5:
+        term = u * u  # u * u / 3
+        term /= 3.0
+        poly += term
+    elif spec.nu == 3.5:
+        # 0.4 * u * u, then u * u * u / 15 (out= keeps a 0-d u an array)
+        term = np.multiply(u, 0.4, out=np.empty_like(u))
+        term *= u
+        poly += term
+        np.multiply(u, u, out=term)
+        term *= u
+        term /= 15.0
+        poly += term
+    poly *= spec.output_scale
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    poly *= u
+    return poly
 
 
 def _as_single_point(x) -> np.ndarray:
@@ -97,17 +118,22 @@ def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     b = _as_points(points_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets live in different dimensions")
-    diff = a[:, None, :] - b[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return matern_profile(spec, r)
+    # squared distances, summed in coordinate order into one (n, m) buffer
+    r = np.subtract.outer(a[:, 0], b[:, 0])
+    r *= r
+    for j in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff *= diff
+        r += diff
+    np.sqrt(r, out=r)
+    return _matern_profile_inplace(spec, r)
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix of a point set; diagonal equals output_scale."""
     a = _as_points(points)
     k = cross_matrix(spec, a, a)
-    # distances computed once, so k is symmetric up to rounding; make it exact
-    k = 0.5 * (k + k.T)
+    # exactly symmetric: a_i - a_j is -(a_j - a_i) in IEEE arithmetic
     np.fill_diagonal(k, spec.output_scale)
     return k
 

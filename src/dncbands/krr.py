@@ -81,7 +81,8 @@ def _solve_regularized(k: np.ndarray, y: np.ndarray, nrho: float) -> np.ndarray:
     attempted = []
     jitter = 0.0
     for step in range(4):
-        a = k + (nrho + jitter) * np.eye(n)
+        a = k.copy()
+        a.flat[:: n + 1] += nrho + jitter
         try:
             factor = cho_factor(a, lower=True, check_finite=False)
         except LinAlgError:

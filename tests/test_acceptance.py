@@ -281,9 +281,9 @@ def test_criterion_05_degenerate_bootstrap_identities():
 
 
 def test_criterion_06_scheme_agreement():
-    # the schemes' second moments differ by max_t row_mean_t^2 / P for the
-    # literal multiplier definition, so the fixed matrix uses enough rows
-    # for that systematic term to sit well under the 5% tolerance
+    # on centred rows both schemes have conditional covariance
+    # (V - v_bar)^T (V - v_bar) / P^2, so the sd gap is Monte Carlo error
+    # alone, about 1/sqrt(2B) per scheme, well under the 5% tolerance
     rng = np.random.default_rng(2026)
     matrix = LocalPredictionMatrix.from_values(rng.normal(size=(256, 8)))
     b = 10**5

@@ -4,10 +4,12 @@ import pytest
 from dncbands.kernels import (
     KernelSpec,
     SpectralModel,
+    cross_matrix,
     effective_dimension,
     effective_dimension_tail,
     eval_kernel,
     gram_matrix,
+    matern_profile,
 )
 
 # closed form exp(-u)(1 + u + (2/5)u^2 + (1/15)u^3) at u = sqrt(7),
@@ -105,9 +107,44 @@ def test_gram_psd_up_to_fifty_points():
             spec = KernelSpec(nu=nu, lengthscale=0.5, output_scale=1.5)
             pts = rng.uniform(-1, 1, (n, d))
             g = gram_matrix(spec, pts)
-            assert np.allclose(g, g.T)
+            assert np.array_equal(g, g.T)
             eigs = np.linalg.eigvalsh(g)
             assert eigs.min() >= -1e-10 * n * spec.output_scale
+
+
+def closed_form_profile(spec, r):
+    """s * p(u) * exp(-u), written out term by term."""
+    u = np.sqrt(2.0 * spec.nu) * r / spec.lengthscale
+    if spec.nu == 0.5:
+        poly = 1.0
+    elif spec.nu == 1.5:
+        poly = 1.0 + u
+    elif spec.nu == 2.5:
+        poly = 1.0 + u + u * u / 3.0
+    else:
+        poly = 1.0 + u + 0.4 * u * u + u * u * u / 15.0
+    return spec.output_scale * poly * np.exp(-u)
+
+
+def closed_form_cross(spec, a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return closed_form_profile(spec, np.sqrt(np.sum(diff * diff, axis=-1)))
+
+
+def test_kernel_matrices_bitwise_equal_closed_form():
+    rng = np.random.default_rng(3)
+    for nu in (0.5, 1.5, 2.5, 3.5):
+        for lengthscale, scale in ((0.2, 1.0), (1.0, 1.5), (3.3, 0.3)):
+            spec = KernelSpec(nu=nu, lengthscale=lengthscale, output_scale=scale)
+            for d in (1, 2, 3):
+                a = rng.uniform(-2, 2, (40, d))
+                b = rng.uniform(-2, 2, (25, d))
+                assert np.array_equal(cross_matrix(spec, a, b), closed_form_cross(spec, a, b))
+                assert np.array_equal(gram_matrix(spec, a), closed_form_cross(spec, a, a))
+            r = rng.uniform(0, 5, (30, 20))
+            kept = r.copy()
+            assert np.array_equal(matern_profile(spec, r), closed_form_profile(spec, r))
+            assert np.array_equal(r, kept)
 
 
 def test_effective_dimension_single_eigenvalue():
