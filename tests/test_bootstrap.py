@@ -93,6 +93,35 @@ def test_exhaustive_conditional_covariance_closed_form():
         assert np.max(np.abs(empirical_cov - closed_form)) < 1e-12
 
 
+def test_multiplier_identical_rows_are_scalar_multiples():
+    # rows c_p * v centre to (c_p - c_bar) * v, so every replicate is
+    # delta_b = s_b * v with s_b = sum_p w_bp (c_p - c_bar) / P; rows that
+    # are exactly identical give s_b = 0
+    v = np.array([0.4, -1.1, 2.2])
+    c = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    for dist in ("gaussian", "poisson"):
+        draws = multiplier_draws(matrix_from(np.outer(c, v)), 100, seed=5, dist=dist)
+        ratios = draws.deltas / v
+        assert np.allclose(ratios, ratios[:, [0]], rtol=1e-10, atol=1e-12)
+        assert np.any(ratios[:, 0] != 0.0)
+        identical = multiplier_draws(matrix_from(np.tile(v, (5, 1))), 100, seed=5, dist=dist)
+        assert np.all(identical.deltas / v == 0.0)
+
+
+def test_multiplier_single_partition_identity():
+    # at P = 1 the one row is its own mean, so delta = w * (v - v) = 0
+    # for every weight w: the bootstrap carries no spread
+    v = np.array([2.0, -3.0, 0.1])
+    matrix = matrix_from([v])
+    for dist in ("gaussian", "poisson"):
+        draws = multiplier_draws(matrix, 2000, seed=6, dist=dist)
+        assert draws.deltas.shape == (2000, 3)
+        assert np.all(draws.deltas == 0.0)
+        mean, sd = bootstrap_moments(draws)
+        assert np.all(mean == 0.0)
+        assert np.all(sd == 0.0)
+
+
 def test_multiplier_zero_matrix_gives_zero_deltas():
     matrix = matrix_from(np.zeros((6, 3)))
     for dist in ("gaussian", "poisson"):
