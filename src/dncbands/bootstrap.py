@@ -47,9 +47,9 @@ def resample_deltas(values: np.ndarray, row_mean: np.ndarray, idx: np.ndarray) -
     count of every index in it, the replicate's weight vector.
     """
     b, p = idx.shape
-    flat = (idx + p * np.arange(b)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=b * p).reshape(b, p)
-    return _weighted_deltas(values, row_mean, counts.astype(np.float64))
+    counts = np.zeros((b, p))
+    np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
+    return _weighted_deltas(values, row_mean, counts)
 
 
 def empirical_draws(matrix: LocalPredictionMatrix, n_replicates: int, seed) -> BootstrapDraws:

@@ -196,7 +196,9 @@ def test_no_kernel_evaluations_during_bootstrap(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("bootstrap must not evaluate the kernel")
 
-    monkeypatch.setattr(kernels, "matern_profile", boom)
+    # cross_matrix and gram_matrix reach the profile through the private one
+    for name in ("matern_profile", "_matern_profile_inplace"):
+        monkeypatch.setattr(kernels, name, boom)
     rng = np.random.default_rng(15)
     matrix = matrix_from(rng.normal(size=(8, 3)))
     empirical_draws(matrix, 200, seed=16)

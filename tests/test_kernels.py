@@ -141,6 +141,10 @@ def test_kernel_matrices_bitwise_equal_closed_form():
                 b = rng.uniform(-2, 2, (25, d))
                 assert np.array_equal(cross_matrix(spec, a, b), closed_form_cross(spec, a, b))
                 assert np.array_equal(gram_matrix(spec, a), closed_form_cross(spec, a, a))
+            # from d = 8 on np.sum adds pairwise, not in coordinate order
+            a = rng.uniform(-2, 2, (40, 9))
+            assert np.allclose(gram_matrix(spec, a), closed_form_cross(spec, a, a),
+                               rtol=1e-13, atol=0.0)
             r = rng.uniform(0, 5, (30, 20))
             kept = r.copy()
             assert np.array_equal(matern_profile(spec, r), closed_form_profile(spec, r))
