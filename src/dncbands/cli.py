@@ -45,57 +45,38 @@ class DataError(ValueError):
     pass
 
 
-def read_data_csv(path):
-    """Training data CSV: header x1..xd,y; returns (X, y)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise DataError(f"{path}: empty data file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if len(header) < 2 or header[-1] != "y":
-        raise DataError(f"{path}: header must be x1..xd,y, got {lines[0]!r}")
-    dim = len(header) - 1
-    expected = [f"x{j + 1}" for j in range(dim)]
-    if header[:-1] != expected:
-        raise DataError(f"{path}: covariate columns must be {expected}, got {header[:-1]}")
-    xs, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != dim + 1:
-            raise DataError(
-                f"{path}: line {lineno}: expected {dim + 1} fields, got {len(parts)}"
-            )
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-        xs.append(row[:-1])
-        ys.append(row[-1])
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+def read_csv(path, with_y: bool) -> np.ndarray:
+    """Numeric CSV with header x1..xd, plus a trailing y column if with_y.
 
-
-def read_points_csv(path):
-    """Prediction points CSV: header x1..xd; returns (T, d) array."""
+    Returns the (rows, columns) float array; blank and ``#`` lines are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise DataError(f"{path}: empty points file")
+    if len(lines) < 2:
+        raise DataError(f"{path}: no data rows")
     header = [h.strip() for h in lines[0].split(",")]
-    dim = len(header)
-    expected = [f"x{j + 1}" for j in range(dim)]
-    if header != expected:
-        raise DataError(f"{path}: header must be {expected}, got {header}")
+    width = len(header)
+    dim = width - 1 if with_y else width
+    expected = [f"x{j + 1}" for j in range(dim)] + (["y"] if with_y else [])
+    if dim < 1 or header != expected:
+        names = "x1..xd,y" if with_y else "x1..xd"
+        raise DataError(f"{path}: header must be {names}, got {lines[0]!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != dim:
-            raise DataError(f"{path}: line {lineno}: expected {dim} fields, got {len(parts)}")
+        if len(parts) != width:
+            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
     return np.asarray(rows, dtype=np.float64)
+
+
+def read_data_csv(path):
+    """Training data CSV: header x1..xd,y; returns (X, y)."""
+    rows = read_csv(path, with_y=True)
+    return rows[:, :-1].copy(), rows[:, -1].copy()
 
 
 def _metadata(cfg: RunConfig) -> str:
@@ -118,7 +99,7 @@ def _outdir(cfg: RunConfig) -> str:
 def _prediction_points(cfg: RunConfig, x: np.ndarray, seed):
     """Configured points file, or seeded uniforms in the data bounding box."""
     if cfg.prediction_path:
-        pts = read_points_csv(cfg.prediction_path)
+        pts = read_csv(cfg.prediction_path, with_y=False)
         if pts.shape[1] != x.shape[1]:
             raise DataError(
                 f"prediction points have dimension {pts.shape[1]}, data has {x.shape[1]}"
@@ -134,16 +115,13 @@ def _fit_pipeline(cfg: RunConfig, data_path):
     """Shared front half of fit/bands: data -> (matrix, points, seeds)."""
     x, y = read_data_csv(data_path)
     n_total = x.shape[0]
-    if n_total % cfg.partitions != 0:
-        raise DataError(
-            f"P does not divide N (P={cfg.partitions}, N={n_total})"
-        )
     root = np.random.SeedSequence(cfg.seed)
     s_plan, s_pred, s_boot = root.spawn(3)
     points = _prediction_points(cfg, x, s_pred)
     kernel = cfg.kernel_spec()
-    b_exp = 2.0 * kernel.nu + x.shape[1]
-    rho = krr.penalty_schedule(n_total, b_exp, cfg.penalty_r_prime, cfg.penalty_c)
+    rho = krr.penalty_schedule(
+        n_total, kernel.decay_exponent(x.shape[1]), cfg.penalty_r_prime, cfg.penalty_c
+    )
     sample = krr.Sample(x, y)
     plan = dnc.make_partition_plan(n_total, cfg.partitions, s_plan)
     matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, points, threads=cfg.threads)
@@ -210,8 +188,9 @@ def cmd_coverage(cfg: RunConfig) -> list:
 def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
     """Per-cell variance proxy and estimated proxy-to-noise ratio."""
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
-    b_exp = 2.0 * kernel.nu + 1.0
-    rho = krr.penalty_schedule(dgp.n, b_exp, cfg.penalty_r_prime, cfg.penalty_c)
+    rho = krr.penalty_schedule(
+        dgp.n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
+    )
     cell_seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid_p) * len(grid_t))
     diag = {}
     i = 0
@@ -282,8 +261,9 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
         max_ratio = max(max_ratio, diag_mod.check_interpolation_inequality(f, grid).ratio)
     rows.append(("interpolation_max_ratio", j_interp, max_ratio, "", ""))
     s = cfg.dgp_n // cfg.partitions if cfg.partitions and cfg.dgp_n % cfg.partitions == 0 else cfg.dgp_n
-    b_exp = 2.0 * kernel.nu + 1.0
-    rho_sched = krr.penalty_schedule(cfg.dgp_n, b_exp, cfg.penalty_r_prime, cfg.penalty_c)
+    rho_sched = krr.penalty_schedule(
+        cfg.dgp_n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
+    )
     rows.append(("variance_proxy", s, diag_mod.variance_proxy(model, s, rho_sched), "", ""))
 
     out = os.path.join(_outdir(cfg), "diagnostics.csv")

@@ -1,9 +1,13 @@
 """Flat key-value run configuration with dotted namespaces.
 
 A config file is a plain text file of ``key = value`` lines; ``#``
-starts a comment.  Unknown keys are rejected, every value is
-range-checked against the library preconditions before any compute
-starts, and the whole thing round-trips through ``serialize_config``.
+starts a comment.  ``RunConfig`` is the only declaration of the keys:
+each dotted key is a field name with its first underscore read as a dot
+(``kernel_output_scale`` -> ``kernel.output_scale``), and the field's
+annotation says how its value is parsed and formatted.  Unknown keys are
+rejected, every value is range-checked against the library
+preconditions before any compute starts, and the whole thing
+round-trips through ``serialize_config``.
 
 The config hash identifies the scientific content of a run: it covers
 every key except the execution-only ones (threads, output.dir), so two
@@ -14,6 +18,7 @@ hash.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass
 
 from .bootstrap import MULTIPLIER_DISTRIBUTIONS
@@ -34,7 +39,6 @@ RESOLUTION_GUARD = 20.0  # bands need B >= 20 / alpha
 
 @dataclass(frozen=True)
 class RunConfig:
-    kernel_family: str = "matern"
     kernel_nu: float = 3.5
     kernel_lengthscale: float = 1.0
     kernel_output_scale: float = 1.0
@@ -51,83 +55,44 @@ class RunConfig:
     output_dir: str = "out"
     dgp_n: int = 4096
     dgp_true_function: str = "sin2pix"
-    dgp_table: tuple = ()  # ((x1, f1), (x2, f2), ...) for the table variant
-    grid_p: tuple = (16, 64)
-    grid_t: tuple = (4, 64)
+    dgp_table: tuple[tuple[float, float], ...] = ()  # (x, f) pairs for the table variant
+    grid_p: tuple[int, ...] = (16, 64)
+    grid_t: tuple[int, ...] = (4, 64)
     grid_trials: int = 500
     grid_full_scale: bool = False
-    rate_ns: tuple = (1024, 2048, 4096, 8192, 16384)
+    rate_ns: tuple[int, ...] = (1024, 2048, 4096, 8192, 16384)
     rate_reps: int = 20
     diagnostics_enabled: bool = False
     diagnostics_truncation: int = 10000
-    diagnostics_rhos: tuple = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+    diagnostics_rhos: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
     threads: int = 1
 
     def kernel_spec(self) -> KernelSpec:
         return KernelSpec(
-            family=self.kernel_family,
             nu=self.kernel_nu,
             lengthscale=self.kernel_lengthscale,
             output_scale=self.kernel_output_scale,
         )
 
 
-# dotted key -> (field name, type tag)
-KEY_TABLE = {
-    "kernel.family": ("kernel_family", "str"),
-    "kernel.nu": ("kernel_nu", "float"),
-    "kernel.lengthscale": ("kernel_lengthscale", "float"),
-    "kernel.output_scale": ("kernel_output_scale", "float"),
-    "penalty.r_prime": ("penalty_r_prime", "float"),
-    "penalty.c": ("penalty_c", "float"),
-    "partitions": ("partitions", "int"),
-    "prediction.count": ("prediction_count", "int"),
-    "prediction.path": ("prediction_path", "str"),
-    "alpha": ("alpha", "float"),
-    "bootstrap.replicates": ("bootstrap_replicates", "int"),
-    "bootstrap.scheme": ("bootstrap_scheme", "str"),
-    "bootstrap.multiplier": ("bootstrap_multiplier", "str"),
-    "seed": ("seed", "int"),
-    "output.dir": ("output_dir", "str"),
-    "dgp.n": ("dgp_n", "int"),
-    "dgp.true_function": ("dgp_true_function", "str"),
-    "dgp.table": ("dgp_table", "pair_list"),
-    "grid.p": ("grid_p", "int_list"),
-    "grid.t": ("grid_t", "int_list"),
-    "grid.trials": ("grid_trials", "int"),
-    "grid.full_scale": ("grid_full_scale", "bool"),
-    "rate.ns": ("rate_ns", "int_list"),
-    "rate.reps": ("rate_reps", "int"),
-    "diagnostics.enabled": ("diagnostics_enabled", "bool"),
-    "diagnostics.truncation": ("diagnostics_truncation", "int"),
-    "diagnostics.rhos": ("diagnostics_rhos", "float_list"),
-    "threads": ("threads", "int"),
+# dotted key -> (field name, annotated type), derived from RunConfig
+_KEYS = {
+    name.replace("_", ".", 1): (name, kind)
+    for name, kind in typing.get_type_hints(RunConfig).items()
 }
-
-FIELD_TO_KEY = {f: k for k, (f, _) in KEY_TABLE.items()}
 EXECUTION_ONLY_KEYS = ("threads", "output.dir")
 
 
-def _parse_value(key: str, kind: str, raw: str):
+def _parse_value(key: str, kind, raw: str):
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if kind == "int_list":
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if kind == "float_list":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        if kind == "pair_list":
+        if kind == tuple[tuple[float, float], ...]:
             pairs = []
             for item in raw.split(";"):
                 item = item.strip()
@@ -136,20 +101,25 @@ def _parse_value(key: str, kind: str, raw: str):
                 left, _, right = item.partition(":")
                 pairs.append((float(left), float(right)))
             return tuple(pairs)
+        if typing.get_origin(kind) is tuple:  # tuple[int, ...] or tuple[float, ...]
+            item_kind = typing.get_args(kind)[0]
+            return tuple(item_kind(v.strip()) for v in raw.split(",") if v.strip())
+        return kind(raw)  # str, int or float
     except ValueError as exc:
         raise ConfigError(f"could not parse value for {key!r}: {raw!r}") from exc
-    raise ConfigError(f"unknown value kind {kind!r}")
 
 
-def _format_value(kind: str, value) -> str:
-    if kind == "bool":
+def _format_value(kind, value) -> str:
+    if kind is bool:
         return "true" if value else "false"
-    if kind in ("int_list", "float_list"):
-        return ",".join(repr(v) if kind == "float_list" else str(v) for v in value)
-    if kind == "pair_list":
-        return ";".join(f"{x!r}:{f!r}" for x, f in value)
-    if kind == "float":
+    if kind is float:
         return repr(float(value))
+    if kind == tuple[int, ...]:
+        return ",".join(str(v) for v in value)
+    if kind == tuple[float, ...]:
+        return ",".join(repr(v) for v in value)
+    if kind == tuple[tuple[float, float], ...]:
+        return ";".join(f"{x!r}:{f!r}" for x, f in value)
     return str(value)
 
 
@@ -165,12 +135,11 @@ def parse_config_text(text: str) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in KEY_TABLE:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        fieldname, kind = KEY_TABLE[key]
-        out[key] = _parse_value(key, kind, raw)
+        out[key] = _parse_value(key, _KEYS[key][1], raw)
     return out
 
 
@@ -227,9 +196,9 @@ def make_config(raw: dict) -> RunConfig:
     """Build and validate a RunConfig from a dotted-key mapping."""
     kwargs = {}
     for key, value in raw.items():
-        if key not in KEY_TABLE:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        kwargs[KEY_TABLE[key][0]] = value
+        kwargs[_KEYS[key][0]] = value
     return validate_config(RunConfig(**kwargs))
 
 
@@ -241,25 +210,24 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return make_config(raw)
 
 
+def _config_lines(cfg: RunConfig, skip=()) -> list:
+    """``key = value`` lines for every key not in skip, sorted by key."""
+    return [
+        f"{key} = {_format_value(kind, getattr(cfg, name))}"
+        for key, (name, kind) in sorted(_KEYS.items())
+        if key not in skip
+    ]
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form: every key, sorted, one per line."""
-    lines = []
-    for key in sorted(KEY_TABLE):
-        fieldname, kind = KEY_TABLE[key]
-        lines.append(f"{key} = {_format_value(kind, getattr(cfg, fieldname))}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_config_lines(cfg)) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
     """Short digest of the scientific config (execution keys excluded)."""
-    lines = []
-    for key in sorted(KEY_TABLE):
-        if key in EXECUTION_ONLY_KEYS:
-            continue
-        fieldname, kind = KEY_TABLE[key]
-        lines.append(f"{key} = {_format_value(kind, getattr(cfg, fieldname))}")
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest[:12]
+    text = "\n".join(_config_lines(cfg, skip=EXECUTION_ONLY_KEYS))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def effective_grid(cfg: RunConfig):

@@ -1,13 +1,15 @@
 """Matern kernels, Gram matrices, and a truncated spectral model.
 
-Only the half-integer Matern family is supported; for nu in
-{1/2, 3/2, 5/2, 7/2} the kernel has a closed form
+The kernel is always a half-integer Matern; for nu in {1/2, 3/2, 5/2, 7/2}
+it has a closed form
 
     k(r) = s * p(u) * exp(-u),    u = sqrt(2 nu) r / l,
 
 with p a polynomial of degree nu - 1/2, so no Bessel-function
-evaluation is ever needed.  The spectral model pins eigenvalues to
-mu_j = j^(-b) exactly, which makes every diagnostic reproducible.
+evaluation is ever needed.  In dimension d its eigenvalues decay
+polynomially with exponent b = 2 nu + d (``KernelSpec.decay_exponent``);
+the spectral model pins them to mu_j = j^(-b) exactly, which makes
+every diagnostic reproducible.
 """
 
 from __future__ import annotations
@@ -21,16 +23,13 @@ HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Positive-definite Matern kernel: family, smoothness, scales."""
+    """Positive-definite Matern kernel: smoothness and scales."""
 
-    family: str = "matern"
     nu: float = 3.5
     lengthscale: float = 1.0
     output_scale: float = 1.0
 
     def __post_init__(self):
-        if self.family != "matern":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
         if self.nu not in HALF_INTEGER_NUS:
             raise ValueError(
                 f"nu must be one of {HALF_INTEGER_NUS} (closed-form half-integer "
@@ -40,6 +39,10 @@ class KernelSpec:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
         if not (self.output_scale > 0):
             raise ValueError(f"output_scale must be positive, got {self.output_scale}")
+
+    def decay_exponent(self, dim: int) -> float:
+        """Polynomial eigendecay exponent b = 2 nu + d in dimension dim."""
+        return 2.0 * self.nu + dim
 
 
 def _as_points(x) -> np.ndarray:
@@ -167,8 +170,7 @@ class SpectralModel:
 
     @classmethod
     def from_matern(cls, spec: KernelSpec, dim: int, truncation: int) -> "SpectralModel":
-        # polynomial decay exponent of a Matern kernel in dimension dim
-        return cls.polynomial(2.0 * spec.nu + dim, truncation)
+        return cls.polynomial(spec.decay_exponent(dim), truncation)
 
 
 def effective_dimension(model: SpectralModel, rho: float) -> float:

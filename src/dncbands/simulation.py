@@ -128,8 +128,7 @@ def run_coverage_cell(
         )
     if trials == 0:
         return 0, 0
-    b_exp = 2.0 * kernel.nu + 1.0  # eigendecay exponent in dimension 1
-    rho = krr.penalty_schedule(dgp.n, b_exp, r_prime, schedule_c)
+    rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
     trial_seeds = _as_seedseq(seed).spawn(trials)
 
     def one(ts):
@@ -276,7 +275,6 @@ def rate_study(
     cases); it must return the averaged prediction vector.
     """
     grid = np.linspace(0.0, 1.0, grid_size).reshape(-1, 1)
-    b_exp = 2.0 * kernel.nu + 1.0
     sizes = list(sizes)
     size_seeds = _as_seedseq(seed).spawn(len(sizes))
 
@@ -291,7 +289,7 @@ def rate_study(
         p_used.append(n_partitions)
         dgp = DgpSpec(n_total, true_function, table)
         truth = dgp.f_star(grid[:, 0])
-        rho = krr.penalty_schedule(n_total, b_exp, r_prime, schedule_c)
+        rho = krr.penalty_schedule(n_total, kernel.decay_exponent(1), r_prime, schedule_c)
         rep_seeds = s_n.spawn(reps)
 
         def one(rs):

@@ -1,9 +1,11 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dncbands.cli import main, read_data_csv
+from dncbands.cli import main, read_csv, read_data_csv
 from dncbands.config import (
     ConfigError,
     RunConfig,
@@ -36,10 +38,60 @@ def test_config_round_trip_is_identity():
             "kernel.lengthscale": 0.2,
             "grid.full_scale": True,
             "prediction.path": "",
+            "dgp.table": ((0.0, 0.0), (0.25, -1.5), (1.0, 1e-3)),
+            "diagnostics.rhos": (0.1, 2.5e-7),
+            "rate.ns": (256, 1024),
         }
     )
     again = make_config(parse_config_text(serialize_config(cfg)))
     assert again == cfg
+
+
+PUBLIC_KEYS = [
+    "alpha",
+    "bootstrap.multiplier",
+    "bootstrap.replicates",
+    "bootstrap.scheme",
+    "dgp.n",
+    "dgp.table",
+    "dgp.true_function",
+    "diagnostics.enabled",
+    "diagnostics.rhos",
+    "diagnostics.truncation",
+    "grid.full_scale",
+    "grid.p",
+    "grid.t",
+    "grid.trials",
+    "kernel.lengthscale",
+    "kernel.nu",
+    "kernel.output_scale",
+    "output.dir",
+    "partitions",
+    "penalty.c",
+    "penalty.r_prime",
+    "prediction.count",
+    "prediction.path",
+    "rate.ns",
+    "rate.reps",
+    "seed",
+    "threads",
+]
+
+
+def test_config_keys_are_the_documented_set():
+    # keys are derived from RunConfig's field names; renaming a field must
+    # not silently rename a key
+    keys = parse_config_text(serialize_config(RunConfig())).keys()
+    assert sorted(keys) == PUBLIC_KEYS
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text("kernel.family = matern\n")
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    assert make_config(parse_config_text(blocks[0])) == RunConfig()
 
 
 def test_unknown_and_duplicate_keys_rejected():
@@ -105,20 +157,31 @@ def test_full_scale_grid_dimensions():
 
 
 def test_read_data_csv_errors(tmp_path):
-    bad_header = tmp_path / "h.csv"
-    bad_header.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        read_data_csv(bad_header)
+    # the training-data file (trailing y column) and the points file share
+    # one reader; both reject the same malformed inputs
+    for name, with_y, header in (("data", True, "x1,y"), ("points", False, "x1,x2")):
+        bad_header = tmp_path / f"{name}_h.csv"
+        bad_header.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="header"):
+            read_csv(bad_header, with_y)
 
-    short_row = tmp_path / "s.csv"
-    short_row.write_text("x1,y\n0.1,2.0\n0.5\n")
+        short_row = tmp_path / f"{name}_s.csv"
+        short_row.write_text(f"{header}\n0.1,2.0\n0.5\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_csv(short_row, with_y)
+
+        bad_value = tmp_path / f"{name}_v.csv"
+        bad_value.write_text(f"{header}\n0.1,huh\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_csv(bad_value, with_y)
+
+        header_only = tmp_path / f"{name}_e.csv"
+        header_only.write_text(f"{header}\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(header_only, with_y)
+
     with pytest.raises(ValueError, match="line 3"):
-        read_data_csv(short_row)
-
-    bad_value = tmp_path / "v.csv"
-    bad_value.write_text("x1,y\n0.1,huh\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_data_csv(bad_value)
+        read_data_csv(tmp_path / "data_s.csv")
 
 
 def test_read_data_csv_multi_dimensional(tmp_path):
