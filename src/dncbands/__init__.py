@@ -30,6 +30,7 @@ from .simulation import (
     rate_study,
     run_coverage_cell,
     run_coverage_grid,
+    run_coverage_row,
 )
 
 __version__ = "0.1.0"
@@ -72,5 +73,6 @@ __all__ = [
     "rate_study",
     "run_coverage_cell",
     "run_coverage_grid",
+    "run_coverage_row",
     "__version__",
 ]

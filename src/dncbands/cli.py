@@ -191,22 +191,21 @@ def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
     rho = krr.penalty_schedule(
         dgp.n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
     )
-    cell_seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid_p) * len(grid_t))
+    row_seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid_p))
     diag = {}
-    i = 0
-    for p in grid_p:
+    for p, row_seed in zip(grid_p, row_seeds):
+        s = dgp.n // p
+        proxy = diag_mod.variance_proxy(model, s, rho)
+        # re-derive the first trial of the row, at max(T), for the empirical floor
+        trial_seed = row_seed.spawn(max(trials, 1))[0]
+        _, matrix = simulation._band_trial(
+            dgp, (max(grid_t),), p, kernel, rho, cfg.alpha, cfg.bootstrap_replicates,
+            cfg.bootstrap_scheme, cfg.bootstrap_multiplier, trial_seed,
+        )
         for t in grid_t:
-            s = dgp.n // p
-            proxy = diag_mod.variance_proxy(model, s, rho)
-            # re-derive the first trial of the cell for the empirical floor
-            trial_seed = cell_seeds[i].spawn(max(trials, 1))[0]
-            _, matrix = simulation._band_trial(
-                dgp, t, p, kernel, rho, cfg.alpha, cfg.bootstrap_replicates,
-                cfg.bootstrap_scheme, cfg.bootstrap_multiplier, trial_seed,
-            )
-            g_est = diag_mod.g_ratio_estimate(matrix, model, s, rho) if p > 1 else float("inf")
+            head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
+            g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")
             diag[(p, t)] = {"variance_proxy": proxy, "g_rho_est": g_est}
-            i += 1
     return simulation.CoverageReport(report.cells, report.master_seed, diag)
 
 
@@ -284,6 +283,9 @@ def cmd_dry_run(cfg: RunConfig) -> list:
             ok = "" if n_total % p == 0 else "  (P does not divide N!)"
             print(f"  cell P={p} T={t}{ok}")
     print(f"cells: {len(grid_p)}x{len(grid_t)}={len(grid_p) * len(grid_t)}")
+    # the T cells of one P row share each trial's fit and bootstrap
+    print(f"pipeline runs: {len(grid_p)}x{trials}={len(grid_p) * trials}")
+    print(f"partition fits: {sum(grid_p)}x{trials}={sum(grid_p) * trials}")
     return []
 
 

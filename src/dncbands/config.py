@@ -177,6 +177,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"grid.p must be positive integers, got {cfg.grid_p}")
     if not cfg.grid_t or any(t < 1 for t in cfg.grid_t):
         raise ConfigError(f"grid.t must be positive integers, got {cfg.grid_t}")
+    for key, values in (("grid.p", cfg.grid_p), ("grid.t", cfg.grid_t)):
+        if len(set(values)) != len(values):
+            # the T cells of a row share trials, so a repeat would count them twice
+            raise ConfigError(f"{key} has repeated values, got {values}")
     if cfg.grid_trials < 0:
         raise ConfigError(f"grid.trials must be non-negative, got {cfg.grid_trials}")
     if not cfg.rate_ns or any(n < 1 for n in cfg.rate_ns):

@@ -84,20 +84,82 @@ def generate_trial(dgp: DgpSpec, n_points: int, seed):
     return krr.Sample(x, y), x_tilde, truth
 
 
-def _band_trial(dgp, n_points, n_partitions, kernel, rho, alpha, n_replicates,
+def _ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a pool of ``threads`` workers when threads > 1."""
+    if threads > 1:
+        # looked up at call time: the benchmark tracer rebinds
+        # simulation.ThreadPoolExecutor by name
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates,
                 scheme, multiplier, trial_seed):
-    """Run the full pipeline once; returns (covered, local matrix)."""
+    """Run the pipeline once at max(points) prediction points.
+
+    Each T in points is calibrated on the first T columns of the shared
+    deltas, row mean and truth.  Returns (one covered flag per T, local
+    matrix).
+    """
     s_data, s_plan, s_boot = trial_seed.spawn(3)
-    sample, x_tilde, truth = generate_trial(dgp, n_points, s_data)
+    sample, x_tilde, truth = generate_trial(dgp, max(points), s_data)
     plan = dnc.make_partition_plan(dgp.n, n_partitions, s_plan)
     matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, x_tilde)
     if scheme == "empirical":
         draws = bootstrap_mod.empirical_draws(matrix, n_replicates, s_boot)
     else:
         draws = bootstrap_mod.multiplier_draws(matrix, n_replicates, s_boot, multiplier)
-    calibrated = bands_mod.calibrate(draws, alpha)
-    intervals = bands_mod.band_intervals(calibrated, matrix.row_mean)
-    return bands_mod.covers(intervals, truth), matrix
+    covered = []
+    for t in points:
+        head = bootstrap_mod.BootstrapDraws(draws.scheme, draws.deltas[:, :t])
+        calibrated = bands_mod.calibrate(head, alpha)
+        intervals = bands_mod.band_intervals(calibrated, matrix.row_mean[:t])
+        covered.append(bands_mod.covers(intervals, truth[:t]))
+    return tuple(covered), matrix
+
+
+def run_coverage_row(
+    dgp: DgpSpec,
+    n_partitions: int,
+    points,
+    alpha: float,
+    n_replicates: int,
+    trials: int,
+    seed,
+    kernel: KernelSpec = KernelSpec(),
+    r_prime: float = 0.5,
+    schedule_c: float = 1.0,
+    scheme: str = "empirical",
+    multiplier: str = "gaussian",
+    threads: int = 1,
+) -> tuple[tuple[int, ...], int]:
+    """Monte Carlo hit counts for one P and every T in points.
+
+    alpha is the band miscoverage level (0.05 for nominal 95% bands).
+    Each trial draws fresh data and max(points) prediction points, fits
+    the divide-and-conquer estimator once with rho from the penalty
+    schedule at the full sample size, bootstraps once, and checks for
+    each T whether the truth lands strictly inside the first T
+    intervals.  The T cells therefore share their trials (paired).
+    """
+    if dgp.n % n_partitions != 0:
+        raise ValueError(
+            f"P does not divide N (P={n_partitions}, N={dgp.n})"
+        )
+    if trials == 0:
+        return (0,) * len(points), 0
+    rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
+
+    def one(ts):
+        covered, _ = _band_trial(
+            dgp, points, n_partitions, kernel, rho, alpha,
+            n_replicates, scheme, multiplier, ts,
+        )
+        return covered
+
+    flags = _ordered_map(one, _as_seedseq(seed).spawn(trials), threads)
+    return tuple(int(sum(col)) for col in zip(*flags)), trials
 
 
 def run_coverage_cell(
@@ -117,33 +179,14 @@ def run_coverage_cell(
 ) -> tuple[int, int]:
     """Monte Carlo hit count for one (P, T) configuration.
 
-    alpha is the band miscoverage level (0.05 for nominal 95% bands).
-    Each trial draws fresh data, fits the divide-and-conquer estimator
-    with rho from the penalty schedule at the full sample size, and
-    checks whether the truth lands strictly inside all T intervals.
+    The row of ``run_coverage_row`` with the single T ``(n_points,)``.
     """
-    if dgp.n % n_partitions != 0:
-        raise ValueError(
-            f"P does not divide N (P={n_partitions}, N={dgp.n})"
-        )
-    if trials == 0:
-        return 0, 0
-    rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
-    trial_seeds = _as_seedseq(seed).spawn(trials)
-
-    def one(ts):
-        covered, _ = _band_trial(
-            dgp, n_points, n_partitions, kernel, rho, alpha,
-            n_replicates, scheme, multiplier, ts,
-        )
-        return covered
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(one, trial_seeds))
-    else:
-        hits = sum(one(ts) for ts in trial_seeds)
-    return int(hits), trials
+    (hits,), done = run_coverage_row(
+        dgp, n_partitions, (n_points,), alpha, n_replicates, trials, seed,
+        kernel=kernel, r_prime=r_prime, schedule_c=schedule_c,
+        scheme=scheme, multiplier=multiplier, threads=threads,
+    )
+    return hits, done
 
 
 def coverage_ci99(hits: int, trials: int) -> tuple[float, float]:
@@ -201,25 +244,28 @@ def run_coverage_grid(
     multiplier: str = "gaussian",
     threads: int = 1,
 ) -> CoverageReport:
-    """Run every (P, T) cell with independently derived seed streams."""
+    """Run the grid one P row at a time; the T cells of a row share trials.
+
+    Row i is seeded by SeedSequence(master_seed).spawn(len(grid_p))[i],
+    which spawns the trial seeds.
+    """
+    for name, values in (("grid_p", grid_p), ("grid_t", grid_t)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has repeated values, got {tuple(values)}")
     offenders = [p for p in grid_p if dgp.n % p != 0]
     if offenders:
         raise ValueError(
             f"partition counts {offenders} do not divide N={dgp.n}"
         )
-    root = np.random.SeedSequence(master_seed)
-    cell_seeds = root.spawn(len(grid_p) * len(grid_t))
+    row_seeds = np.random.SeedSequence(master_seed).spawn(len(grid_p))
     cells = []
-    i = 0
-    for p in grid_p:
-        for t in grid_t:
-            hits, done = run_coverage_cell(
-                dgp, p, t, alpha, n_replicates, trials, cell_seeds[i],
-                kernel=kernel, r_prime=r_prime, schedule_c=schedule_c,
-                scheme=scheme, multiplier=multiplier, threads=threads,
-            )
-            cells.append(CoverageCell(p, t, done, hits))
-            i += 1
+    for p, row_seed in zip(grid_p, row_seeds):
+        hits, done = run_coverage_row(
+            dgp, p, tuple(grid_t), alpha, n_replicates, trials, row_seed,
+            kernel=kernel, r_prime=r_prime, schedule_c=schedule_c,
+            scheme=scheme, multiplier=multiplier, threads=threads,
+        )
+        cells.extend(CoverageCell(p, t, done, h) for t, h in zip(grid_t, hits))
     return CoverageReport(cells, master_seed)
 
 
@@ -303,11 +349,7 @@ def rate_study(
                 f_bar = np.asarray(predictor(sample, plan, grid), dtype=np.float64)
             return float(np.max(np.abs(f_bar - truth)))
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                errs = list(pool.map(one, rep_seeds))
-        else:
-            errs = [one(rs) for rs in rep_seeds]
+        errs = _ordered_map(one, rep_seeds, threads)
         medians.append(float(np.median(errs)))
 
     if any(m <= 0.0 for m in medians) or len(sizes) < 2:

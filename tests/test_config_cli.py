@@ -116,6 +116,10 @@ def test_config_validation_errors():
         make_config({"penalty.r_prime": 0.3})
     with pytest.raises(ConfigError):
         make_config({"bootstrap.scheme": "wild"})
+    with pytest.raises(ConfigError, match="grid.p has repeated values"):
+        make_config({"grid.p": (16, 64, 16)})
+    with pytest.raises(ConfigError, match="grid.t has repeated values"):
+        make_config({"grid.t": (4, 4)})
 
 
 def test_comments_and_blank_lines_ignored():
@@ -321,6 +325,24 @@ def test_cmd_coverage_with_diagnostics_columns(tmp_path):
     assert float(row[7]) > 0 and float(row[8]) > 0
 
 
+def test_cmd_coverage_diagnostics_g_ratio_rises_in_t(tmp_path):
+    # the cells of a row read nested column sets of one matrix, so the
+    # smallest sd (the estimate's denominator) cannot rise with T
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dgp.n = 256\ngrid.p = 4,8\ngrid.t = 16,2,4\ngrid.trials = 1\n"
+        "bootstrap.replicates = 200\nkernel.lengthscale = 0.2\nseed = 5\n"
+        "diagnostics.enabled = true\ndiagnostics.truncation = 100\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli(["coverage", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "coverage.csv").read_text().splitlines()[2:]]
+    for p in ("4", "8"):
+        g = [float(r[8]) for r in sorted((r for r in rows if r[0] == p), key=lambda r: int(r[1]))]
+        assert len(g) == 3 and all(np.isfinite(g))
+        assert g[0] <= g[1] <= g[2]
+
+
 def test_cmd_fit_two_dimensional_covariates(tmp_path):
     data = tmp_path / "data.csv"
     write_training_csv(data, n=9, d=2, seed=12)
@@ -341,6 +363,8 @@ def test_cmd_dry_run_full_scale_counts_cells(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cells: 7x9=63" in out
     assert "N=65536" in out
+    assert "pipeline runs: 7x2000=14000" in out
+    assert "partition fits: 8128x2000=16256000" in out
 
 
 def test_cmd_rate_csv(tmp_path):

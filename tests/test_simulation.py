@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dncbands.bands import calibrate
-from dncbands.bootstrap import empirical_draws
+from dncbands import bootstrap, dnc
+from dncbands.bands import band_intervals, calibrate, covers
+from dncbands.bootstrap import BootstrapDraws, empirical_draws
 from dncbands.dnc import fit_all_partitions, make_partition_plan
 from dncbands.kernels import KernelSpec
 from dncbands.krr import penalty_schedule
@@ -190,6 +191,69 @@ def test_rate_study_small_run_structure():
 def test_coverage_grid_rejects_bad_cells():
     with pytest.raises(ValueError, match="do not divide"):
         run_coverage_grid(DgpSpec(100), (8, 7), (2,), 0.1, 50, 2, 1)
+    # a repeated T would report the same shared draws twice as two cells
+    with pytest.raises(ValueError, match="grid_t has repeated values"):
+        run_coverage_grid(DgpSpec(64), (4,), (2, 2), 0.1, 50, 2, 1)
+    with pytest.raises(ValueError, match="grid_p has repeated values"):
+        run_coverage_grid(DgpSpec(64), (4, 8, 4), (2,), 0.1, 50, 2, 1)
+
+
+GRID_KW = dict(alpha=0.5, n_replicates=200, trials=6, kernel=KernelSpec(lengthscale=0.2))
+
+
+def test_single_t_grid_rows_are_coverage_cells():
+    dgp = DgpSpec(256)
+    grid_p = (4, 8, 16)
+    report = run_coverage_grid(dgp, grid_p, (4,), master_seed=31, **GRID_KW)
+    row_seeds = np.random.SeedSequence(31).spawn(len(grid_p))
+    for cell, p, row_seed in zip(report.cells, grid_p, row_seeds):
+        assert (cell.partitions, cell.points) == (p, 4)
+        assert (cell.hits, cell.trials) == run_coverage_cell(dgp, p, 4, seed=row_seed, **GRID_KW)
+
+
+def test_grid_fits_and_bootstraps_once_per_row_trial(monkeypatch):
+    calls = {"fit": 0, "boot": 0}
+    fit, boot = dnc.fit_all_partitions, bootstrap.empirical_draws
+
+    def counted_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return fit(*args, **kwargs)
+
+    def counted_boot(*args, **kwargs):
+        calls["boot"] += 1
+        return boot(*args, **kwargs)
+
+    monkeypatch.setattr(dnc, "fit_all_partitions", counted_fit)
+    monkeypatch.setattr(bootstrap, "empirical_draws", counted_boot)
+    report = run_coverage_grid(DgpSpec(64), (4, 8), (2, 3, 4), 0.1, 100, 4, 5)
+    assert len(report.cells) == 6
+    assert calls == {"fit": 2 * 4, "boot": 2 * 4}
+
+
+def test_multi_t_cells_calibrate_the_first_columns_of_one_trial():
+    dgp = DgpSpec(256)
+    kernel = GRID_KW["kernel"]
+    report = run_coverage_grid(dgp, (8,), (2, 8), master_seed=23, **GRID_KW)
+    rho = penalty_schedule(dgp.n, kernel.decay_exponent(1), 0.5)
+    row_seed = np.random.SeedSequence(23).spawn(1)[0]
+    hits = {2: 0, 8: 0}
+    for trial_seed in row_seed.spawn(GRID_KW["trials"]):
+        s_data, s_plan, s_boot = trial_seed.spawn(3)
+        sample, pts, truth = generate_trial(dgp, 8, s_data)
+        plan = make_partition_plan(dgp.n, 8, s_plan)
+        matrix = fit_all_partitions(sample, plan, kernel, rho, pts)
+        deltas = empirical_draws(matrix, GRID_KW["n_replicates"], s_boot).deltas
+        for t in hits:
+            bands = calibrate(BootstrapDraws("empirical", deltas[:, :t]), GRID_KW["alpha"])
+            hits[t] += covers(band_intervals(bands, matrix.row_mean[:t]), truth[:t])
+    assert [(c.points, c.hits) for c in report.cells] == [(2, hits[2]), (8, hits[8])]
+
+
+def test_coverage_grid_thread_invariant():
+    args = (DgpSpec(256), (4, 8), (2, 5, 3))
+    serial = run_coverage_grid(*args, master_seed=13, **GRID_KW)
+    pooled = run_coverage_grid(*args, master_seed=13, threads=3, **GRID_KW)
+    assert serial.cells == pooled.cells
 
 
 def test_coverage_csv_format(tmp_path):
