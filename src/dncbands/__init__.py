@@ -9,7 +9,7 @@ achieve on synthetic heteroscedastic data.
 """
 
 from . import bands, bootstrap, diagnostics, dnc, kernels, krr, simulation
-from .bands import Bands, band_intervals, calibrate, covers
+from .bands import Bands, band_intervals, calibrate, calibrate_prefixes, covers
 from .bootstrap import BootstrapDraws, bootstrap_moments, empirical_draws, multiplier_draws
 from .dnc import LocalPredictionMatrix, PartitionPlan, average, fit_all_partitions, make_partition_plan
 from .kernels import (
@@ -46,6 +46,7 @@ __all__ = [
     "Bands",
     "band_intervals",
     "calibrate",
+    "calibrate_prefixes",
     "covers",
     "BootstrapDraws",
     "bootstrap_moments",

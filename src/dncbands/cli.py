@@ -198,10 +198,7 @@ def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
         proxy = diag_mod.variance_proxy(model, s, rho)
         # re-derive the first trial of the row, at max(T), for the empirical floor
         trial_seed = row_seed.spawn(max(trials, 1))[0]
-        _, matrix = simulation._band_trial(
-            dgp, (max(grid_t),), p, kernel, rho, cfg.alpha, cfg.bootstrap_replicates,
-            cfg.bootstrap_scheme, cfg.bootstrap_multiplier, trial_seed,
-        )
+        matrix, _, _ = simulation._trial_matrix(dgp, max(grid_t), p, kernel, rho, trial_seed)
         for t in grid_t:
             head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
             g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")

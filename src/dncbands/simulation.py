@@ -94,29 +94,38 @@ def _ordered_map(fn, items, threads: int) -> list:
     return [fn(x) for x in items]
 
 
+def _trial_matrix(dgp, n_points, n_partitions, kernel, rho, trial_seed):
+    """Draw one trial and fit it: (local matrix, truth, bootstrap seed).
+
+    The trial seed spawns the data, plan and bootstrap seeds in that
+    order, so every caller re-deriving a trial gets the same one.
+    """
+    s_data, s_plan, s_boot = trial_seed.spawn(3)
+    sample, x_tilde, truth = generate_trial(dgp, n_points, s_data)
+    plan = dnc.make_partition_plan(dgp.n, n_partitions, s_plan)
+    matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, x_tilde)
+    return matrix, truth, s_boot
+
+
 def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates,
                 scheme, multiplier, trial_seed):
     """Run the pipeline once at max(points) prediction points.
 
     Each T in points is calibrated on the first T columns of the shared
-    deltas, row mean and truth.  Returns (one covered flag per T, local
-    matrix).
+    deltas, row mean and truth.  Returns one covered flag per T.
     """
-    s_data, s_plan, s_boot = trial_seed.spawn(3)
-    sample, x_tilde, truth = generate_trial(dgp, max(points), s_data)
-    plan = dnc.make_partition_plan(dgp.n, n_partitions, s_plan)
-    matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, x_tilde)
+    matrix, truth, s_boot = _trial_matrix(
+        dgp, max(points), n_partitions, kernel, rho, trial_seed
+    )
     if scheme == "empirical":
         draws = bootstrap_mod.empirical_draws(matrix, n_replicates, s_boot)
     else:
         draws = bootstrap_mod.multiplier_draws(matrix, n_replicates, s_boot, multiplier)
-    covered = []
-    for t in points:
-        head = bootstrap_mod.BootstrapDraws(draws.scheme, draws.deltas[:, :t])
-        calibrated = bands_mod.calibrate(head, alpha)
-        intervals = bands_mod.band_intervals(calibrated, matrix.row_mean[:t])
-        covered.append(bands_mod.covers(intervals, truth[:t]))
-    return tuple(covered), matrix
+    calibrated = bands_mod.calibrate_prefixes(draws, alpha, points)
+    return tuple(
+        bands_mod.covers(bands_mod.band_intervals(cal, matrix.row_mean[:t]), truth[:t])
+        for t, cal in zip(points, calibrated)
+    )
 
 
 def run_coverage_row(
@@ -152,11 +161,10 @@ def run_coverage_row(
     rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
 
     def one(ts):
-        covered, _ = _band_trial(
+        return _band_trial(
             dgp, points, n_partitions, kernel, rho, alpha,
             n_replicates, scheme, multiplier, ts,
         )
-        return covered
 
     flags = _ordered_map(one, _as_seedseq(seed).spawn(trials), threads)
     return tuple(int(sum(col)) for col in zip(*flags)), trials

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dncbands.bands import Bands, band_intervals, calibrate, covers, save_bands_csv
+from dncbands.bands import (
+    Bands,
+    band_intervals,
+    calibrate,
+    calibrate_prefixes,
+    covers,
+    save_bands_csv,
+)
 from dncbands.bootstrap import BootstrapDraws
 
 
@@ -120,6 +127,65 @@ def test_oracle_equivalence_on_random_instances():
         ):
             mismatches += 1
     assert mismatches == 0
+
+
+# unsorted, with a repeat: results follow the order of the requested T values
+PREFIXES = (65, 1, 130, 63, 64, 1)
+
+
+def prefix_instances():
+    """(name, deltas, alpha) with 130 components, two rank blocks and a bit."""
+    rng = np.random.default_rng(31)
+    ties = rng.integers(-3, 4, size=(50, 130)).astype(float) / 4.0
+    ties[:, 40] = 0.5  # constant column inside the first block
+    ties[:, 100] = -0.25  # and inside the third
+    leading = rng.normal(size=(50, 130))
+    leading[:, :70] = 1.5  # degenerate prefix crossing the first block edge
+    unreachable = rng.normal(size=(40, 130))  # small B, many components
+    return [("ties", ties, 0.1), ("leading", leading, 0.2), ("unreachable", unreachable, 0.05)]
+
+
+def assert_bands_identical(got, want):
+    for name in ("lower", "upper", "degenerate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("alpha", "achieved_tail", "achieved_coverage", "tail_reachable"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("name,deltas,alpha", prefix_instances())
+def test_calibrate_prefixes_match_calibrate_and_oracle(name, deltas, alpha):
+    results = calibrate_prefixes(draws_of(deltas), alpha, PREFIXES)
+    assert len(results) == len(PREFIXES)
+    b = deltas.shape[0]
+    for t, got in zip(PREFIXES, results):
+        head = deltas[:, :t]
+        assert_bands_identical(got, calibrate(draws_of(head), alpha))
+        k_oracle, cov_oracle = brute_force_calibrate(head, alpha)
+        assert got.achieved_tail == k_oracle / b
+        assert got.achieved_coverage == pytest.approx(cov_oracle)
+        ordered = np.sort(head, axis=0)
+        assert np.array_equal(got.lower, ordered[k_oracle - 1])
+        assert np.array_equal(got.upper, ordered[b - k_oracle])
+    if name == "leading":
+        assert [bool(np.all(r.degenerate)) for r in results] == [True, True, False, True, True, True]
+    if name == "unreachable":
+        assert results[1].tail_reachable and not results[2].tail_reachable
+
+
+def test_calibrate_prefixes_rejects_t_out_of_range():
+    draws = draws_of(np.random.default_rng(32).normal(size=(30, 70)))
+    for bad in ((0,), (71,), (-1, 4), (4, 71), ()):
+        with pytest.raises(ValueError):
+            calibrate_prefixes(draws, 0.1, bad)
+
+
+def test_calibrate_prefixes_leaves_draws_unchanged():
+    for _, deltas, alpha in prefix_instances():
+        before = deltas.copy()
+        draws = draws_of(deltas)
+        calibrate_prefixes(draws, alpha, PREFIXES)
+        assert draws.deltas.tobytes() == before.tobytes()
 
 
 def test_unreachable_target_returns_widest_band():

@@ -343,6 +343,28 @@ def test_cmd_coverage_diagnostics_g_ratio_rises_in_t(tmp_path):
         assert g[0] <= g[1] <= g[2]
 
 
+def test_cmd_coverage_diagnostics_bootstrap_only_the_trials(tmp_path, monkeypatch):
+    # diagnostics re-fit trial 0 of each row for its local matrix, with no bootstrap
+    from dncbands import bootstrap
+
+    calls = []
+    draw = bootstrap.empirical_draws
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "empirical_draws", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dgp.n = 256\ngrid.p = 4,8\ngrid.t = 2,4\ngrid.trials = 3\n"
+        "bootstrap.replicates = 100\nkernel.lengthscale = 0.2\nseed = 6\n"
+        "diagnostics.enabled = true\ndiagnostics.truncation = 100\n"
+    )
+    assert run_cli(["coverage", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert len(calls) == 2 * 3
+
+
 def test_cmd_fit_two_dimensional_covariates(tmp_path):
     data = tmp_path / "data.csv"
     write_training_csv(data, n=9, d=2, seed=12)

@@ -144,6 +144,19 @@ def test_average_matches_fsum_oracle():
         assert abs(got[t] - exact) <= 1e-15
 
 
+def test_average_is_the_in_order_row_sum():
+    # pins the bits of an explicit in-order loop; numpy's sum(axis=0) rounds
+    # differently when the partition axis is contiguous (T = 1, Fortran order)
+    rng = np.random.default_rng(10)
+    for p, t in ((1, 5), (3, 7), (9, 1), (64, 512), (4096, 1), (4096, 512)):
+        m = rng.normal(size=(p, t)) * 10.0 ** rng.integers(-8, 9, size=(p, 1))
+        for v in (m, np.asfortranarray(m), m[:, : (t + 1) // 2]):
+            acc = v[0].copy()
+            for row in v[1:]:
+                acc += row
+            assert average(v).tobytes() == (acc / p).tobytes()
+
+
 def test_average_linearity():
     rng = np.random.default_rng(9)
     m = rng.normal(size=(6, 4))
