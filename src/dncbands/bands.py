@@ -58,7 +58,6 @@ class Bands:
 
     lower: np.ndarray  # (T,)
     upper: np.ndarray  # (T,)
-    alpha: float
     achieved_tail: float
     achieved_coverage: float
     degenerate: np.ndarray  # (T,) bool, zero-spread components
@@ -162,7 +161,6 @@ def calibrate_prefixes(draws: BootstrapDraws, alpha: float, points) -> list[Band
         out.append(Bands(
             lower=sorted_cols[:t, k - 1].copy(),
             upper=sorted_cols[:t, b_total - k].copy(),
-            alpha=float(alpha),
             achieved_tail=k / b_total,
             achieved_coverage=coverage,
             degenerate=degenerate[:t].copy(),
@@ -197,7 +195,7 @@ def covers(intervals: np.ndarray, truth) -> bool:
     return bool(np.all((tr > iv[:, 0]) & (tr < iv[:, 1])))
 
 
-def save_bands_csv(path, x_tilde, f_bar, bands: Bands, metadata: str = "") -> None:
+def save_bands_csv(path, x_tilde, f_bar, bands: Bands, metadata: str) -> None:
     """Write intervals as CSV: t, x_tilde, f_bar, lower, upper."""
     x = np.asarray(x_tilde, dtype=np.float64)
     if x.ndim == 1:
@@ -206,8 +204,7 @@ def save_bands_csv(path, x_tilde, f_bar, bands: Bands, metadata: str = "") -> No
     dim = x.shape[1]
     xcols = "x_tilde" if dim == 1 else ",".join(f"x_tilde_{j + 1}" for j in range(dim))
     with open(path, "w", encoding="utf-8") as fh:
-        if metadata:
-            fh.write(f"# {metadata}\n")
+        fh.write(f"# {metadata}\n")
         fh.write(f"t,{xcols},f_bar,lower,upper\n")
         for t in range(x.shape[0]):
             coords = ",".join(repr(float(v)) for v in x[t])

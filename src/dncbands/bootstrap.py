@@ -25,7 +25,6 @@ MULTIPLIER_DISTRIBUTIONS = ("gaussian", "poisson")
 class BootstrapDraws:
     """B x T matrix of centered bootstrap deltas, one row per replicate."""
 
-    scheme: str
     deltas: np.ndarray  # (B, T), row b = f_bar^b - f_bar
 
     @property
@@ -58,7 +57,7 @@ def empirical_draws(matrix: LocalPredictionMatrix, n_replicates: int, seed) -> B
         raise ValueError(f"replicate count must be positive, got {n_replicates}")
     p = matrix.partitions
     idx = np.random.default_rng(seed).integers(0, p, size=(n_replicates, p))
-    return BootstrapDraws("empirical", resample_deltas(matrix.values, matrix.row_mean, idx))
+    return BootstrapDraws(resample_deltas(matrix.values, matrix.row_mean, idx))
 
 
 def multiplier_draws(
@@ -80,7 +79,7 @@ def multiplier_draws(
         w = rng.normal(1.0, 1.0, size=size)
     else:
         w = rng.poisson(1.0, size=size).astype(np.float64)
-    return BootstrapDraws("multiplier", _weighted_deltas(matrix.values, matrix.row_mean, w))
+    return BootstrapDraws(_weighted_deltas(matrix.values, matrix.row_mean, w))
 
 
 def bootstrap_moments(draws: BootstrapDraws) -> tuple[np.ndarray, np.ndarray]:

@@ -48,28 +48,33 @@ class DataError(ValueError):
 def read_csv(path, with_y: bool) -> np.ndarray:
     """Numeric CSV with header x1..xd, plus a trailing y column if with_y.
 
-    Returns the (rows, columns) float array; blank and ``#`` lines are skipped.
+    Returns the (rows, columns) float array; blank and ``#`` lines are
+    skipped, and errors give the line's number in the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(lines) < 2:
-        raise DataError(f"{path}: no data rows")
-    header = [h.strip() for h in lines[0].split(",")]
-    width = len(header)
-    dim = width - 1 if with_y else width
-    expected = [f"x{j + 1}" for j in range(dim)] + (["y"] if with_y else [])
-    if dim < 1 or header != expected:
-        names = "x1..xd,y" if with_y else "x1..xd"
-        raise DataError(f"{path}: header must be {names}, got {lines[0]!r}")
+    width = None
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != width:
-            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            line = line.rstrip("\n")
+            parts = [p.strip() for p in line.split(",")]
+            if width is None:
+                width = len(parts)
+                dim = width - 1 if with_y else width
+                expected = [f"x{j + 1}" for j in range(dim)] + (["y"] if with_y else [])
+                if dim < 1 or parts != expected:
+                    names = "x1..xd,y" if with_y else "x1..xd"
+                    raise DataError(f"{path}: header must be {names}, got {line!r}")
+                continue
+            if len(parts) != width:
+                raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -164,11 +169,6 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
 
 def cmd_coverage(cfg: RunConfig) -> list:
     n_total, grid_p, grid_t, trials = effective_grid(cfg)
-    offenders = [(p, t) for p in grid_p for t in grid_t if n_total % p != 0]
-    if offenders:
-        raise ConfigError(
-            f"cells with P not dividing N={n_total}: {sorted(set(offenders))}"
-        )
     dgp = simulation.DgpSpec(n_total, cfg.dgp_true_function, _dgp_table(cfg))
     kernel = cfg.kernel_spec()
     report = simulation.run_coverage_grid(
@@ -203,7 +203,7 @@ def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
             head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
             g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")
             diag[(p, t)] = {"variance_proxy": proxy, "g_rho_est": g_est}
-    return simulation.CoverageReport(report.cells, report.master_seed, diag)
+    return simulation.CoverageReport(report.cells, diag)
 
 
 def _print_coverage_summary(report) -> None:

@@ -206,14 +206,6 @@ def make_config(raw: dict) -> RunConfig:
     return validate_config(RunConfig(**kwargs))
 
 
-def load_config(path, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
-    if overrides:
-        raw.update(overrides)
-    return make_config(raw)
-
-
 def _config_lines(cfg: RunConfig, skip=()) -> list:
     """``key = value`` lines for every key not in skip, sorted by key."""
     return [

@@ -41,10 +41,6 @@ class PartitionPlan:
             raise ValueError("assignment is not a balanced partition")
         object.__setattr__(self, "assignment", a)
 
-    @property
-    def partition_size(self) -> int:
-        return self.total // self.count
-
     def indices(self) -> list[np.ndarray]:
         """Per-partition index arrays, in ascending partition order."""
         order = np.argsort(self.assignment, kind="stable")

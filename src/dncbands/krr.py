@@ -63,7 +63,6 @@ class KrrFit:
     """Fitted regressor: anchors are the training covariates."""
 
     kernel: KernelSpec
-    rho: float
     anchors: np.ndarray
     dual_weights: np.ndarray
 
@@ -107,7 +106,7 @@ def fit(sample: Sample, kernel: KernelSpec, rho: float) -> KrrFit:
         raise ValueError(f"penalty rho must be positive, got {rho}")
     k = gram_matrix(kernel, sample.covariates)
     alpha = _solve_regularized(k, sample.responses, sample.size * rho)
-    return KrrFit(kernel, float(rho), sample.covariates, alpha)
+    return KrrFit(kernel, sample.covariates, alpha)
 
 
 def predict(fitted: KrrFit, points) -> np.ndarray:

@@ -23,6 +23,7 @@ from . import dnc, krr
 from .kernels import KernelSpec
 
 SIN_FREQUENCY = 2.0 * 3.14  # literal 3.14, not math.pi
+RATE_GRID_SIZE = 512  # uniform points of the rate study's sup-norm grid on [0, 1]
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -233,7 +234,6 @@ class CoverageCell:
 @dataclass(frozen=True)
 class CoverageReport:
     cells: list[CoverageCell]
-    master_seed: int
     diagnostics: dict = field(default_factory=dict)  # (P, T) -> extra columns
 
 
@@ -274,7 +274,7 @@ def run_coverage_grid(
             scheme=scheme, multiplier=multiplier, threads=threads,
         )
         cells.extend(CoverageCell(p, t, done, h) for t, h in zip(grid_t, hits))
-    return CoverageReport(cells, master_seed)
+    return CoverageReport(cells)
 
 
 def partition_bound_check(n_total: int, b: float, r_prime: float, c: float = 1.0) -> float:
@@ -313,29 +313,25 @@ def rate_study(
     seed,
     kernel: KernelSpec = KernelSpec(),
     schedule_c: float = 1.0,
-    partition_rule=power_of_two_sqrt,
-    grid_size: int = 512,
     true_function: str = "sin2pix",
     table: tuple = (),
-    predictor=None,
     threads: int = 1,
 ) -> RateStudyResult:
     """Sup-norm error of the averaged estimator as the sample grows.
 
-    The sup norm is taken over a fixed uniform grid; the returned slope
-    is the least-squares fit of log(median sup error squared) against
-    log N.  A custom ``predictor(sample, plan, points)`` can replace
-    the divide-and-conquer pipeline (used to exercise degenerate
-    cases); it must return the averaged prediction vector.
+    Each N is split into P = power_of_two_sqrt(N) partitions, which must
+    divide N.  The sup norm is taken over RATE_GRID_SIZE = 512 uniform
+    points on [0, 1]; the returned slope is the least-squares fit of
+    log(median sup error squared) against log N, nan for a single N.
     """
-    grid = np.linspace(0.0, 1.0, grid_size).reshape(-1, 1)
+    grid = np.linspace(0.0, 1.0, RATE_GRID_SIZE).reshape(-1, 1)
     sizes = list(sizes)
     size_seeds = _as_seedseq(seed).spawn(len(sizes))
 
     medians = []
     p_used = []
     for n_total, s_n in zip(sizes, size_seeds):
-        n_partitions = int(partition_rule(n_total))
+        n_partitions = power_of_two_sqrt(n_total)
         if n_total % n_partitions != 0:
             raise ValueError(
                 f"partition rule gave P={n_partitions} for N={n_total}, not a divisor"
@@ -350,17 +346,13 @@ def rate_study(
             s_data, s_plan = rs.spawn(2)
             sample, _, _ = generate_trial(dgp, 1, s_data)
             plan = dnc.make_partition_plan(n_total, n_partitions, s_plan)
-            if predictor is None:
-                matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, grid)
-                f_bar = matrix.row_mean
-            else:
-                f_bar = np.asarray(predictor(sample, plan, grid), dtype=np.float64)
+            f_bar = dnc.fit_all_partitions(sample, plan, kernel, rho, grid).row_mean
             return float(np.max(np.abs(f_bar - truth)))
 
         errs = _ordered_map(one, rep_seeds, threads)
         medians.append(float(np.median(errs)))
 
-    if any(m <= 0.0 for m in medians) or len(sizes) < 2:
+    if len(sizes) < 2:
         slope = float("nan")
     else:
         logn = np.log(np.asarray(sizes, dtype=np.float64))
@@ -369,15 +361,14 @@ def rate_study(
     return RateStudyResult(sizes, p_used, medians, slope)
 
 
-def write_coverage_csv(report: CoverageReport, path, metadata: str = "") -> None:
+def write_coverage_csv(report: CoverageReport, path, metadata: str) -> None:
     """Grid CSV: one row per cell, plot-ready long format."""
     diag_keys = []
     if report.diagnostics:
         first = next(iter(report.diagnostics.values()))
         diag_keys = list(first)
     with open(path, "w", encoding="utf-8") as fh:
-        note = "axes=log2(P),log2(T),coverage"
-        fh.write(f"# {metadata} {note}\n" if metadata else f"# {note}\n")
+        fh.write(f"# {metadata} axes=log2(P),log2(T),coverage\n")
         extra = ("," + ",".join(diag_keys)) if diag_keys else ""
         fh.write("p,t,trials,hits,coverage,ci_lo,ci_hi" + extra + "\n")
         for cell in report.cells:
@@ -392,11 +383,10 @@ def write_coverage_csv(report: CoverageReport, path, metadata: str = "") -> None
             fh.write(row + "\n")
 
 
-def write_rate_csv(result: RateStudyResult, path, metadata: str = "") -> None:
+def write_rate_csv(result: RateStudyResult, path, metadata: str) -> None:
     """Rate CSV: one row per N and a slope footer row."""
     with open(path, "w", encoding="utf-8") as fh:
-        if metadata:
-            fh.write(f"# {metadata}\n")
+        fh.write(f"# {metadata}\n")
         fh.write("n,partitions,median_sup_err\n")
         for n_total, p, err in zip(
             result.sizes, result.partition_counts, result.median_sup_errors

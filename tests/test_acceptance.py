@@ -49,7 +49,6 @@ from dncbands.simulation import (
     DgpSpec,
     coverage_ci99,
     generate_trial,
-    power_of_two_sqrt,
     rate_study,
     run_coverage_cell,
 )
@@ -230,7 +229,7 @@ def test_criterion_03_calibration_oracle_equivalence():
         deltas, alpha = random_instance(rng)
         from dncbands.bootstrap import BootstrapDraws
 
-        bands = calibrate(BootstrapDraws("empirical", deltas), alpha)
+        bands = calibrate(BootstrapDraws(deltas), alpha)
         k_oracle, cov_oracle = brute_force_calibrate(deltas, alpha)
         b = deltas.shape[0]
         ordered = np.sort(deltas, axis=0)
@@ -301,7 +300,6 @@ def test_criterion_07_rate_study():
         reps=20,
         seed=ACCEPT_SEED + 2,
         kernel=KernelSpec(nu=3.5, lengthscale=1.0),
-        partition_rule=power_of_two_sqrt,
         threads=THREADS,
     )
     target = -7.0 / 9.0

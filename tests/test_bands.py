@@ -13,7 +13,7 @@ from dncbands.bootstrap import BootstrapDraws
 
 
 def draws_of(deltas):
-    return BootstrapDraws("empirical", np.asarray(deltas, dtype=float))
+    return BootstrapDraws(np.asarray(deltas, dtype=float))
 
 
 def brute_force_calibrate(deltas, alpha):
@@ -149,7 +149,7 @@ def assert_bands_identical(got, want):
     for name in ("lower", "upper", "degenerate"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("alpha", "achieved_tail", "achieved_coverage", "tail_reachable"):
+    for name in ("achieved_tail", "achieved_coverage", "tail_reachable"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -265,7 +265,6 @@ def test_band_intervals_symmetric_case():
     bands = Bands(
         lower=np.array([-0.3, -0.3]),
         upper=np.array([0.3, 0.3]),
-        alpha=0.1,
         achieved_tail=0.05,
         achieved_coverage=0.9,
         degenerate=np.zeros(2, dtype=bool),

@@ -163,7 +163,7 @@ def test_moments_zero_deltas():
 def test_moments_two_point_hand_arithmetic():
     from dncbands.bootstrap import BootstrapDraws
 
-    draws = BootstrapDraws("empirical", np.array([[-1.0], [1.0]]))
+    draws = BootstrapDraws(np.array([[-1.0], [1.0]]))
     mean, sd = bootstrap_moments(draws)
     assert mean[0] == 0.0
     assert sd[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)

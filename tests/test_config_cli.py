@@ -179,6 +179,12 @@ def test_read_data_csv_errors(tmp_path):
         with pytest.raises(ValueError, match="line 2"):
             read_csv(bad_value, with_y)
 
+        # a comment and a blank line still count as file lines
+        commented = tmp_path / f"{name}_c.csv"
+        commented.write_text(f"# note\n{header}\n\n0.1,2.0\n0.5\n")
+        with pytest.raises(ValueError, match="line 5"):
+            read_csv(commented, with_y)
+
         header_only = tmp_path / f"{name}_e.csv"
         header_only.write_text(f"{header}\n")
         with pytest.raises(ValueError, match="no data rows"):
@@ -292,7 +298,7 @@ def test_cmd_coverage_aborts_on_bad_cells(tmp_path, capsys):
     cfg.write_text("dgp.n = 100\ngrid.p = 8,7\ngrid.t = 2\ngrid.trials = 1\n")
     code = run_cli(["coverage", "--config", cfg, "--out", tmp_path / "o"])
     assert code == 2
-    assert "not dividing" in capsys.readouterr().err
+    assert "do not divide" in capsys.readouterr().err
 
 
 def test_cmd_coverage_writes_grid(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_predict_matches_naive_loop():
 
 
 def test_predict_zero_weights():
-    fitted = KrrFit(KernelSpec(), 1.0, np.array([[0.1], [0.7]]), np.zeros(2))
+    fitted = KrrFit(KernelSpec(), np.array([[0.1], [0.7]]), np.zeros(2))
     assert np.array_equal(predict(fitted, np.linspace(0, 1, 5)), np.zeros(5))
 
 

@@ -167,17 +167,6 @@ def test_power_of_two_sqrt():
     assert power_of_two_sqrt(2**14) == 2**7
 
 
-def test_rate_study_stub_predictor_zero_error():
-    dgp_truth = DgpSpec(64).f_star
-
-    def perfect(sample, plan, points):
-        return dgp_truth(np.asarray(points)[:, 0])
-
-    result = rate_study([64, 128], 0.5, reps=2, seed=5, predictor=perfect)
-    assert result.median_sup_errors == [0.0, 0.0]
-    assert np.isnan(result.slope)
-
-
 def test_rate_study_small_run_structure():
     result = rate_study(
         [256, 512], 0.5, reps=2, seed=6, kernel=KernelSpec(lengthscale=0.2)
@@ -186,6 +175,10 @@ def test_rate_study_small_run_structure():
     assert result.partition_counts == [16, 32]
     assert all(e > 0 for e in result.median_sup_errors)
     assert np.isfinite(result.slope)
+    # one N leaves the slope undefined
+    single = rate_study([256], 0.5, reps=2, seed=6, kernel=KernelSpec(lengthscale=0.2))
+    assert single.partition_counts == [16]
+    assert np.isnan(single.slope)
 
 
 def test_coverage_grid_rejects_bad_cells():
@@ -244,7 +237,7 @@ def test_multi_t_cells_calibrate_the_first_columns_of_one_trial():
         matrix = fit_all_partitions(sample, plan, kernel, rho, pts)
         deltas = empirical_draws(matrix, GRID_KW["n_replicates"], s_boot).deltas
         for t in hits:
-            bands = calibrate(BootstrapDraws("empirical", deltas[:, :t]), GRID_KW["alpha"])
+            bands = calibrate(BootstrapDraws(deltas[:, :t]), GRID_KW["alpha"])
             hits[t] += covers(band_intervals(bands, matrix.row_mean[:t]), truth[:t])
     assert [(c.points, c.hits) for c in report.cells] == [(2, hits[2]), (8, hits[8])]
 
