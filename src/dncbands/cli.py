@@ -229,6 +229,10 @@ def cmd_rate(cfg: RunConfig) -> list:
 
 
 def cmd_diagnostics(cfg: RunConfig) -> list:
+    if cfg.dgp_n % cfg.partitions != 0:
+        raise ConfigError(
+            f"partitions={cfg.partitions} does not divide dgp.n={cfg.dgp_n}"
+        )
     kernel = cfg.kernel_spec()
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
     rows = []
@@ -256,7 +260,7 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
         f = diag_mod.EigenExpansionFunction(theta, interp_model)
         max_ratio = max(max_ratio, diag_mod.check_interpolation_inequality(f, grid).ratio)
     rows.append(("interpolation_max_ratio", j_interp, max_ratio, "", ""))
-    s = cfg.dgp_n // cfg.partitions if cfg.partitions and cfg.dgp_n % cfg.partitions == 0 else cfg.dgp_n
+    s = cfg.dgp_n // cfg.partitions
     rho_sched = krr.penalty_schedule(
         cfg.dgp_n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
     )
@@ -273,12 +277,12 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
 
 def cmd_dry_run(cfg: RunConfig) -> list:
     n_total, grid_p, grid_t, trials = effective_grid(cfg)
+    simulation.check_grid(n_total, grid_p, grid_t)
     print(f"config_hash={config_hash(cfg)} master_seed={cfg.seed}")
     print(f"coverage grid: N={n_total}, trials per cell={trials}")
     for p in grid_p:
         for t in grid_t:
-            ok = "" if n_total % p == 0 else "  (P does not divide N!)"
-            print(f"  cell P={p} T={t}{ok}")
+            print(f"  cell P={p} T={t}")
     print(f"cells: {len(grid_p)}x{len(grid_t)}={len(grid_p) * len(grid_t)}")
     # the T cells of one P row share each trial's fit and bootstrap
     print(f"pipeline runs: {len(grid_p)}x{trials}={len(grid_p) * trials}")
@@ -306,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", required=True, help="training data CSV (x1..xd,y)")
         p.add_argument("--out", help="output directory (overrides config and env)")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--threads", type=int, help="worker-parallelism cap")
+        p.add_argument(
+            "--threads", type=int,
+            help="thread budget: worker threads; BLAS runs one thread inside fits",
+        )
         p.add_argument("--alpha", type=float, help="band miscoverage level override")
         p.add_argument("--partitions", type=int, help="partition count override")
         p.add_argument("--prediction-count", type=int, help="prediction set size override")

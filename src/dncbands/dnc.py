@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import krr
+from . import _blas, krr
 from .kernels import KernelSpec
 
 
@@ -104,8 +104,10 @@ def fit_all_partitions(
     """Fit the base learner on every partition, evaluate at the points.
 
     Row p of the result is predict(fit(subsample p), points).  The output
-    is identical for any thread count: partition subsets are read-only,
-    rows land in a preallocated slot, and the mean reduces in order.
+    is identical for any thread count and core count: partition subsets
+    are read-only, rows land in a preallocated slot, the mean reduces in
+    order, and BLAS runs one thread on the serial and pooled paths alike
+    (a threaded Cholesky rounds differently from one thread).
     """
     if plan.total != sample.size:
         raise ValueError(
@@ -124,13 +126,14 @@ def fit_all_partitions(
         except Exception as exc:  # tagged with the partition id
             raise PartitionFitError(p, exc) from exc
 
-    if threads > 1 and plan.count > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, plan.count)) as pool:
-            futures = [pool.submit(run_one, p) for p in range(plan.count)]
-            errors = [(p, f.exception()) for p, f in enumerate(futures) if f.exception()]
-        if errors:
-            raise errors[0][1]
-    else:
-        for p in range(plan.count):
-            run_one(p)
+    with _blas.one_thread():
+        if threads > 1 and plan.count > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, plan.count)) as pool:
+                futures = [pool.submit(run_one, p) for p in range(plan.count)]
+                errors = [(p, f.exception()) for p, f in enumerate(futures) if f.exception()]
+            if errors:
+                raise errors[0][1]
+        else:
+            for p in range(plan.count):
+                run_one(p)
     return LocalPredictionMatrix.from_values(out)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as beta_dist
 
+from . import _blas
 from . import bands as bands_mod
 from . import bootstrap as bootstrap_mod
 from . import dnc, krr
@@ -90,7 +91,7 @@ def _ordered_map(fn, items, threads: int) -> list:
     if threads > 1:
         # looked up at call time: the benchmark tracer rebinds
         # simulation.ThreadPoolExecutor by name
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with _blas.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 
@@ -237,6 +238,18 @@ class CoverageReport:
     diagnostics: dict = field(default_factory=dict)  # (P, T) -> extra columns
 
 
+def check_grid(n_total: int, grid_p, grid_t) -> None:
+    """Raise ValueError unless the grid can run: no repeats, every P divides N."""
+    for name, values in (("grid_p", grid_p), ("grid_t", grid_t)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has repeated values, got {tuple(values)}")
+    offenders = [p for p in grid_p if n_total % p != 0]
+    if offenders:
+        raise ValueError(
+            f"partition counts {offenders} do not divide N={n_total}"
+        )
+
+
 def run_coverage_grid(
     dgp: DgpSpec,
     grid_p,
@@ -257,14 +270,7 @@ def run_coverage_grid(
     Row i is seeded by SeedSequence(master_seed).spawn(len(grid_p))[i],
     which spawns the trial seeds.
     """
-    for name, values in (("grid_p", grid_p), ("grid_t", grid_t)):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} has repeated values, got {tuple(values)}")
-    offenders = [p for p in grid_p if dgp.n % p != 0]
-    if offenders:
-        raise ValueError(
-            f"partition counts {offenders} do not divide N={dgp.n}"
-        )
+    check_grid(dgp.n, grid_p, grid_t)
     row_seeds = np.random.SeedSequence(master_seed).spawn(len(grid_p))
     cells = []
     for p, row_seed in zip(grid_p, row_seeds):

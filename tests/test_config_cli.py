@@ -395,6 +395,16 @@ def test_cmd_dry_run_full_scale_counts_cells(tmp_path, capsys):
     assert "partition fits: 8128x2000=16256000" in out
 
 
+def test_cmd_dry_run_rejects_a_grid_coverage_rejects(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dgp.n = 100\ngrid.p = 8,7\ngrid.t = 2\ngrid.trials = 1\n")
+    for command in ("dry-run", "coverage"):
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        captured = capsys.readouterr()
+        assert "partition counts [8, 7] do not divide N=100" in captured.err
+        assert "partition fits" not in captured.out
+
+
 def test_cmd_rate_csv(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rate.ns = 256,512\nrate.reps = 1\nkernel.lengthscale = 0.2\n")
@@ -415,6 +425,21 @@ def test_cmd_diagnostics_single_eigenvalue_case(tmp_path):
     fields = trace_line.split(",")
     assert float(fields[2]) == pytest.approx(0.25)
     assert float(fields[3]) == pytest.approx(0.5)
+
+
+def test_cmd_diagnostics_rejects_partitions_not_dividing_n(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dgp.n = 100\npartitions = 7\ndiagnostics.truncation = 10\n")
+    out = tmp_path / "o"
+    assert run_cli(["diagnostics", "--config", cfg, "--out", out]) == 2
+    assert "partitions=7 does not divide dgp.n=100" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
+    # a dividing count gives the proxy at the partition size s = N / P
+    cfg.write_text("dgp.n = 100\npartitions = 4\ndiagnostics.truncation = 10\n")
+    assert run_cli(["diagnostics", "--config", cfg, "--out", out]) == 0
+    proxy = [ln for ln in (out / "diagnostics.csv").read_text().splitlines()
+             if ln.startswith("variance_proxy,")]
+    assert proxy[0].split(",")[1] == "25"
 
 
 def test_output_dir_created_and_env_default(tmp_path, monkeypatch):

@@ -116,13 +116,16 @@ def test_two_partitions_match_scalar_reference_loop():
 
 
 def test_thread_count_does_not_change_bits():
-    sample = sample_for(64, seed=6)
-    plan = make_partition_plan(64, 8, seed=1)
-    points = np.linspace(0, 1, 10)
-    serial = fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points, threads=1)
-    threaded = fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points, threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-    assert np.array_equal(serial.row_mean, threaded.row_mean)
+    # n = 256 rows per partition is where a threaded Cholesky starts to round
+    # differently from one thread, so the serial path must pin BLAS too
+    for n, p, threads in ((64, 8, 4), (1024, 4, 2)):
+        sample = sample_for(n, seed=6)
+        plan = make_partition_plan(n, p, seed=1)
+        points = np.linspace(0, 1, 10)
+        serial = fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points, threads=1)
+        threaded = fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points, threads=threads)
+        assert np.array_equal(serial.values, threaded.values)
+        assert np.array_equal(serial.row_mean, threaded.row_mean)
 
 
 def test_average_identical_rows():
