@@ -96,9 +96,22 @@ def _dgp_table(cfg: RunConfig) -> tuple:
     return (xs, fs)
 
 
-def _outdir(cfg: RunConfig) -> str:
+def _write_csv(cfg: RunConfig, name, header, rows, note="") -> str:
+    """Write ``name`` in the output directory, creating it; return the path.
+
+    The file is the metadata comment (plus ``note``), the header and one
+    line per row.  Floats are written as repr(float(v)), so they read
+    back exactly; ints and strings as they are, so "" is an empty field.
+    """
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
+    path = os.path.join(cfg.output_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {_metadata(cfg)}{note}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
+    return path
 
 
 def _prediction_points(cfg: RunConfig, x: np.ndarray, seed):
@@ -135,16 +148,10 @@ def _fit_pipeline(cfg: RunConfig, data_path):
 
 def cmd_fit(cfg: RunConfig, data_path) -> list:
     matrix, points, _ = _fit_pipeline(cfg, data_path)
-    out = os.path.join(_outdir(cfg), "predictions.csv")
     dim = points.shape[1]
-    xcols = "x_tilde" if dim == 1 else ",".join(f"x_tilde_{j + 1}" for j in range(dim))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_metadata(cfg)}\n")
-        fh.write(f"t,{xcols},f_bar\n")
-        for t in range(points.shape[0]):
-            coords = ",".join(repr(float(v)) for v in points[t])
-            fh.write(f"{t},{coords},{float(matrix.row_mean[t])!r}\n")
-    return [out]
+    xcols = ["x_tilde"] if dim == 1 else [f"x_tilde_{j + 1}" for j in range(dim)]
+    rows = ((t, *points[t], matrix.row_mean[t]) for t in range(points.shape[0]))
+    return [_write_csv(cfg, "predictions.csv", ["t", *xcols, "f_bar"], rows)]
 
 
 def cmd_bands(cfg: RunConfig, data_path) -> list:
@@ -162,7 +169,8 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
             matrix, cfg.bootstrap_replicates, s_boot, cfg.bootstrap_multiplier
         )
     calibrated = bands_mod.calibrate(draws, cfg.alpha)
-    out = os.path.join(_outdir(cfg), "bands.csv")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    out = os.path.join(cfg.output_dir, "bands.csv")
     bands_mod.save_bands_csv(out, points, matrix.row_mean, calibrated, metadata=_metadata(cfg))
     return [out]
 
@@ -177,16 +185,24 @@ def cmd_coverage(cfg: RunConfig) -> list:
         schedule_c=cfg.penalty_c, scheme=cfg.bootstrap_scheme,
         multiplier=cfg.bootstrap_multiplier, threads=cfg.threads,
     )
+    header = ["p", "t", "trials", "hits", "coverage", "ci_lo", "ci_hi"]
+    rows = [(c.partitions, c.points, c.trials, c.hits, c.coverage, *c.ci99) for c in report.cells]
+    diag_header, diag = [], {}
     if cfg.diagnostics_enabled:
-        report = _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials)
-    out = os.path.join(_outdir(cfg), "coverage.csv")
-    simulation.write_coverage_csv(report, out, metadata=_metadata(cfg))
-    _print_coverage_summary(report)
+        diag_header = ["variance_proxy", "g_rho_est"]
+        diag = _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t, trials)
+    out = _write_csv(
+        cfg, "coverage.csv", header + diag_header,
+        [row + diag.get(row[:2], ()) for row in rows], note=" axes=log2(P),log2(T),coverage",
+    )
+    print(",".join(header))
+    for row in rows:
+        print(*row[:4], *(f"{v:.4f}" for v in row[4:]), sep=",")
     return [out]
 
 
-def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
-    """Per-cell variance proxy and estimated proxy-to-noise ratio."""
+def _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t, trials) -> dict:
+    """(P, T) -> (variance proxy, estimated proxy-to-noise ratio)."""
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
     rho = krr.penalty_schedule(
         dgp.n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
@@ -202,18 +218,8 @@ def _attach_diagnostics(cfg, report, dgp, kernel, grid_p, grid_t, trials):
         for t in grid_t:
             head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
             g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")
-            diag[(p, t)] = {"variance_proxy": proxy, "g_rho_est": g_est}
-    return simulation.CoverageReport(report.cells, diag)
-
-
-def _print_coverage_summary(report) -> None:
-    print("p,t,trials,hits,coverage,ci_lo,ci_hi")
-    for cell in report.cells:
-        lo, hi = cell.ci99
-        print(
-            f"{cell.partitions},{cell.points},{cell.trials},{cell.hits},"
-            f"{cell.coverage:.4f},{lo:.4f},{hi:.4f}"
-        )
+            diag[(p, t)] = (proxy, g_est)
+    return diag
 
 
 def cmd_rate(cfg: RunConfig) -> list:
@@ -222,8 +228,11 @@ def cmd_rate(cfg: RunConfig) -> list:
         kernel=cfg.kernel_spec(), schedule_c=cfg.penalty_c, threads=cfg.threads,
         true_function=cfg.dgp_true_function, table=_dgp_table(cfg),
     )
-    out = os.path.join(_outdir(cfg), "rate.csv")
-    simulation.write_rate_csv(result, out, metadata=_metadata(cfg))
+    rows = [
+        *zip(result.sizes, result.partition_counts, result.median_sup_errors),
+        ("slope", "", result.slope),
+    ]
+    out = _write_csv(cfg, "rate.csv", ["n", "partitions", "median_sup_err"], rows)
     print(f"slope of log(median sup-err^2) vs log N: {result.slope}")
     return [out]
 
@@ -265,14 +274,8 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
         cfg.dgp_n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
     )
     rows.append(("variance_proxy", s, diag_mod.variance_proxy(model, s, rho_sched), "", ""))
-
-    out = os.path.join(_outdir(cfg), "diagnostics.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_metadata(cfg)}\n")
-        fh.write("check,param,value_a,value_b,ratio\n")
-        for name, param, a, b, ratio in rows:
-            fh.write(f"{name},{param!r},{a!r},{b!r},{ratio!r}\n")
-    return [out]
+    header = ["check", "param", "value_a", "value_b", "ratio"]
+    return [_write_csv(cfg, "diagnostics.csv", header, rows)]
 
 
 def cmd_dry_run(cfg: RunConfig) -> list:
@@ -290,35 +293,48 @@ def cmd_dry_run(cfg: RunConfig) -> list:
     return []
 
 
+COMMANDS = {
+    "fit": cmd_fit,
+    "bands": cmd_bands,
+    "coverage": cmd_coverage,
+    "rate": cmd_rate,
+    "diagnostics": cmd_diagnostics,
+    "dry-run": cmd_dry_run,
+}
+DATA_COMMANDS = ("fit", "bands")  # the commands that take --data
+
+# flag -> (config key, type, help); bool flags take no value and set True
+FLAGS = {
+    "--out": ("output.dir", str, "output directory (overrides config and env)"),
+    "--seed": ("seed", int, "master seed override"),
+    "--threads": (
+        "threads", int, "thread budget: worker threads; BLAS runs one thread inside fits",
+    ),
+    "--alpha": ("alpha", float, "band miscoverage level override"),
+    "--partitions": ("partitions", int, "partition count override"),
+    "--prediction-count": ("prediction.count", int, "prediction set size override"),
+    "--replicates": ("bootstrap.replicates", int, "bootstrap replicate count override"),
+    "--full-scale": ("grid.full_scale", bool, "use the published full grid"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dncbands",
         description="Divide-and-conquer KRR with bootstrap simultaneous confidence bands",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_data in (
-        ("fit", True),
-        ("bands", True),
-        ("coverage", False),
-        ("rate", False),
-        ("diagnostics", False),
-        ("dry-run", False),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key=value config file")
-        if needs_data:
+        if name in DATA_COMMANDS:
             p.add_argument("--data", required=True, help="training data CSV (x1..xd,y)")
-        p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument(
-            "--threads", type=int,
-            help="thread budget: worker threads; BLAS runs one thread inside fits",
-        )
-        p.add_argument("--alpha", type=float, help="band miscoverage level override")
-        p.add_argument("--partitions", type=int, help="partition count override")
-        p.add_argument("--prediction-count", type=int, help="prediction set size override")
-        p.add_argument("--replicates", type=int, help="bootstrap replicate count override")
-        p.add_argument("--full-scale", action="store_true", help="use the published full grid")
+        for flag, (key, kind, text) in FLAGS.items():
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=text)
+            else:
+                metavar = flag[2:].upper().replace("-", "_")
+                p.add_argument(flag, dest=key, type=kind, metavar=metavar, help=text)
     return parser
 
 
@@ -326,47 +342,24 @@ def _config_from_args(args) -> RunConfig:
     overrides = {}
     if os.environ.get(ENV_OUTPUT_DIR):
         overrides["output.dir"] = os.environ[ENV_OUTPUT_DIR]
-    file_raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_raw = parse_config_text(fh.read())
-    overrides.update(file_raw)
-    flag_map = {
-        "out": "output.dir",
-        "seed": "seed",
-        "threads": "threads",
-        "alpha": "alpha",
-        "partitions": "partitions",
-        "prediction_count": "prediction.count",
-        "replicates": "bootstrap.replicates",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "full_scale", False):
-        overrides["grid.full_scale"] = True
+            overrides.update(parse_config_text(fh.read()))
+    flags = vars(args)
+    overrides.update({key: flags[key] for key, _, _ in FLAGS.values() if flags[key] is not None})
     return make_config(overrides)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         cfg = _config_from_args(args)
-        if args.command == "fit":
-            written = cmd_fit(cfg, args.data)
-        elif args.command == "bands":
-            written = cmd_bands(cfg, args.data)
-        elif args.command == "coverage":
-            written = cmd_coverage(cfg)
-        elif args.command == "rate":
-            written = cmd_rate(cfg)
-        elif args.command == "diagnostics":
-            written = cmd_diagnostics(cfg)
+        if args.command in DATA_COMMANDS:
+            written = command(cfg, args.data)
         else:
-            written = cmd_dry_run(cfg)
-    except (ConfigError, DataError, ValueError) as exc:
+            written = command(cfg)
+    except ValueError as exc:  # ConfigError and DataError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -105,9 +105,10 @@ def fit_all_partitions(
 
     Row p of the result is predict(fit(subsample p), points).  The output
     is identical for any thread count and core count: partition subsets
-    are read-only, rows land in a preallocated slot, the mean reduces in
+    are read-only, rows come back in partition order, the mean reduces in
     order, and BLAS runs one thread on the serial and pooled paths alike
-    (a threaded Cholesky rounds differently from one thread).
+    (a threaded Cholesky rounds differently from one thread).  A failure
+    raises the lowest failing partition's PartitionFitError.
     """
     if plan.total != sample.size:
         raise ValueError(
@@ -115,25 +116,17 @@ def fit_all_partitions(
         )
     parts = plan.indices()
     pts = np.asarray(points, dtype=np.float64)
-    n_pts = pts.shape[0] if pts.ndim > 0 else 1
-
-    out = np.empty((plan.count, n_pts), dtype=np.float64)
 
     def run_one(p):
         try:
-            local = krr.fit(sample.subset(parts[p]), kernel, rho)
-            out[p] = krr.predict(local, pts)
+            return krr.predict(krr.fit(sample.subset(parts[p]), kernel, rho), pts)
         except Exception as exc:  # tagged with the partition id
             raise PartitionFitError(p, exc) from exc
 
     with _blas.one_thread():
         if threads > 1 and plan.count > 1:
             with ThreadPoolExecutor(max_workers=min(threads, plan.count)) as pool:
-                futures = [pool.submit(run_one, p) for p in range(plan.count)]
-                errors = [(p, f.exception()) for p, f in enumerate(futures) if f.exception()]
-            if errors:
-                raise errors[0][1]
+                rows = list(pool.map(run_one, range(plan.count)))
         else:
-            for p in range(plan.count):
-                run_one(p)
-    return LocalPredictionMatrix.from_values(out)
+            rows = [run_one(p) for p in range(plan.count)]
+    return LocalPredictionMatrix.from_values(np.array(rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -41,8 +41,6 @@ class DgpSpec:
     true_function: str = "sin2pix"
     # piecewise-linear table (xs, fs), used when true_function == "table"
     table: tuple = ()
-    # multiplies the noise standard deviation; 0 gives noise-free trials
-    noise_scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,8 +50,6 @@ class DgpSpec:
         if self.true_function == "table":
             if len(self.table) != 2 or len(self.table[0]) != len(self.table[1]):
                 raise ValueError("table must be a pair of equal-length sequences")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise scale must be non-negative, got {self.noise_scale}")
 
     def f_star(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -78,9 +74,7 @@ def generate_trial(dgp: DgpSpec, n_points: int, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(dgp.n, 1))
     x_tilde = rng.uniform(0.0, 1.0, size=(n_points, 1))
-    noise = rng.normal(0.0, 1.0, size=dgp.n) * (
-        dgp.noise_scale * np.sqrt(DgpSpec.noise_variance(x[:, 0]))
-    )
+    noise = rng.normal(0.0, 1.0, size=dgp.n) * np.sqrt(DgpSpec.noise_variance(x[:, 0]))
     y = dgp.f_star(x[:, 0]) + noise
     truth = dgp.f_star(x_tilde[:, 0])
     return krr.Sample(x, y), x_tilde, truth
@@ -235,7 +229,6 @@ class CoverageCell:
 @dataclass(frozen=True)
 class CoverageReport:
     cells: list[CoverageCell]
-    diagnostics: dict = field(default_factory=dict)  # (P, T) -> extra columns
 
 
 def check_grid(n_total: int, grid_p, grid_t) -> None:
@@ -366,36 +359,3 @@ def rate_study(
         slope = float(np.polyfit(logn, logerr2, 1)[0])
     return RateStudyResult(sizes, p_used, medians, slope)
 
-
-def write_coverage_csv(report: CoverageReport, path, metadata: str) -> None:
-    """Grid CSV: one row per cell, plot-ready long format."""
-    diag_keys = []
-    if report.diagnostics:
-        first = next(iter(report.diagnostics.values()))
-        diag_keys = list(first)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {metadata} axes=log2(P),log2(T),coverage\n")
-        extra = ("," + ",".join(diag_keys)) if diag_keys else ""
-        fh.write("p,t,trials,hits,coverage,ci_lo,ci_hi" + extra + "\n")
-        for cell in report.cells:
-            lo, hi = cell.ci99
-            row = (
-                f"{cell.partitions},{cell.points},{cell.trials},{cell.hits},"
-                f"{cell.coverage!r},{lo!r},{hi!r}"
-            )
-            if diag_keys:
-                vals = report.diagnostics.get((cell.partitions, cell.points), {})
-                row += "," + ",".join(repr(float(vals[k])) for k in diag_keys)
-            fh.write(row + "\n")
-
-
-def write_rate_csv(result: RateStudyResult, path, metadata: str) -> None:
-    """Rate CSV: one row per N and a slope footer row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {metadata}\n")
-        fh.write("n,partitions,median_sup_err\n")
-        for n_total, p, err in zip(
-            result.sizes, result.partition_counts, result.median_sup_errors
-        ):
-            fh.write(f"{n_total},{p},{err!r}\n")
-        fh.write(f"slope,,{result.slope!r}\n")

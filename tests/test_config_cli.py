@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dncbands.cli import main, read_csv, read_data_csv
+from dncbands.cli import FLAGS, main, read_csv, read_data_csv
 from dncbands.config import (
     ConfigError,
     RunConfig,
@@ -85,6 +85,11 @@ def test_config_keys_are_the_documented_set():
     assert sorted(keys) == PUBLIC_KEYS
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("kernel.family = matern\n")
+
+
+def test_flags_override_config_keys():
+    keys = parse_config_text(serialize_config(RunConfig())).keys()
+    assert {key for key, _, _ in FLAGS.values()} <= set(keys)
 
 
 def test_readme_config_block_is_the_defaults():
@@ -310,8 +315,12 @@ def test_cmd_coverage_writes_grid(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["coverage", "--config", cfg, "--out", out]) == 0
     lines = (out / "coverage.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=") and "log2" in lines[0]
+    assert lines[1] == "p,t,trials,hits,coverage,ci_lo,ci_hi"
     assert len(lines) == 2 + 2
-    assert lines[1].startswith("p,t,trials,hits")
+    row = lines[2].split(",")
+    assert int(row[0]) == 4 and int(row[1]) == 2 and int(row[2]) == 2
+    assert 0 <= int(row[3]) <= 2
     printed = capsys.readouterr().out
     assert "wrote" in printed and "coverage.csv" in printed
 
@@ -411,6 +420,10 @@ def test_cmd_rate_csv(tmp_path):
     out = tmp_path / "o"
     assert run_cli(["rate", "--config", cfg, "--out", out]) == 0
     lines = (out / "rate.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "n,partitions,median_sup_err"
+    rows = [ln.split(",") for ln in lines[2:4]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(256, 16), (512, 32)]
     assert lines[-1].startswith("slope,,")
     assert len(lines) == 5
 
@@ -425,6 +438,20 @@ def test_cmd_diagnostics_single_eigenvalue_case(tmp_path):
     fields = trace_line.split(",")
     assert float(fields[2]) == pytest.approx(0.25)
     assert float(fields[3]) == pytest.approx(0.5)
+
+
+def test_cmd_diagnostics_fields_are_empty_or_numbers(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("diagnostics.truncation = 50\ndiagnostics.rhos = 0.1, 1e-3\n")
+    out = tmp_path / "o"
+    assert run_cli(["diagnostics", "--config", cfg, "--out", out]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[1] == "check,param,value_a,value_b,ratio"
+    for line in lines[2:]:
+        fields = line.split(",")
+        assert len(fields) == 5
+        for value in fields[1:]:
+            assert value == "" or np.isfinite(float(value)), line
 
 
 def test_cmd_diagnostics_rejects_partitions_not_dividing_n(tmp_path, capsys):

@@ -167,20 +167,27 @@ def test_average_linearity():
 
 
 def test_partition_failure_aborts_with_id(monkeypatch):
-    sample = sample_for(8, seed=10)
-    plan = make_partition_plan(8, 2, seed=0)
+    # the lowest failing partition is reported, serial or pooled
     real_fit = dnc.krr.fit
-    calls = []
+    for n, count, failing in ((8, 2, {1}), (16, 4, {1, 3})):
+        sample = sample_for(n, seed=10)
+        plan = make_partition_plan(n, count, seed=0)
+        owner = {
+            float(sample.covariates[i, 0]): p for p, idx in enumerate(plan.indices()) for i in idx
+        }
 
-    def failing_fit(sub, kernel, rho):
-        calls.append(sub.size)
-        if len(calls) == 2:
-            raise RuntimeError("synthetic failure")
-        return real_fit(sub, kernel, rho)
+        def failing_fit(sub, kernel, rho):
+            if owner[float(sub.covariates[0, 0])] in failing:
+                raise RuntimeError("synthetic failure")
+            return real_fit(sub, kernel, rho)
 
-    monkeypatch.setattr(dnc.krr, "fit", failing_fit)
-    with pytest.raises(PartitionFitError, match="partition 1"):
-        fit_all_partitions(sample, plan, KernelSpec(), 1e-3, np.linspace(0, 1, 3))
+        monkeypatch.setattr(dnc.krr, "fit", failing_fit)
+        for threads in (1, 2):
+            with pytest.raises(PartitionFitError, match="partition 1") as caught:
+                fit_all_partitions(
+                    sample, plan, KernelSpec(), 1e-3, np.linspace(0, 1, 3), threads=threads
+                )
+            assert caught.value.partition == 1
 
 
 def test_local_prediction_matrix_shape_validation():

@@ -6,7 +6,7 @@ from dncbands.bands import band_intervals, calibrate, covers
 from dncbands.bootstrap import BootstrapDraws, empirical_draws
 from dncbands.dnc import fit_all_partitions, make_partition_plan
 from dncbands.kernels import KernelSpec
-from dncbands.krr import penalty_schedule
+from dncbands.krr import Sample, penalty_schedule
 from dncbands.simulation import (
     DgpSpec,
     coverage_ci99,
@@ -16,8 +16,6 @@ from dncbands.simulation import (
     rate_study,
     run_coverage_cell,
     run_coverage_grid,
-    write_coverage_csv,
-    write_rate_csv,
 )
 
 DESK_N = 2**12
@@ -75,12 +73,6 @@ def test_heteroscedastic_variance_profile():
         assert eps[mask].var() == pytest.approx(np.exp(4 * center), rel=0.05)
 
 
-def test_zero_noise_scale_gives_clean_responses():
-    dgp = DgpSpec(256, noise_scale=0.0)
-    sample, _, _ = generate_trial(dgp, 4, seed=3)
-    assert np.array_equal(sample.responses, dgp.f_star(sample.covariates[:, 0]))
-
-
 def test_run_coverage_cell_zero_trials():
     assert run_coverage_cell(DgpSpec(64), 4, 2, 0.05, 100, 0, seed=0) == (0, 0)
 
@@ -92,11 +84,12 @@ def test_run_coverage_cell_divisibility_checked_first():
 
 def test_zero_noise_bands_have_positive_width():
     # local fits differ across partitions through their covariates alone
-    dgp = DgpSpec(DESK_N, noise_scale=0.0)
+    dgp = DgpSpec(DESK_N)
     rho = penalty_schedule(DESK_N, 8.0, 0.5)
     root = np.random.SeedSequence(17)
     s_data, s_plan, s_boot = root.spawn(3)
-    sample, pts, truth = generate_trial(dgp, 8, s_data)
+    noisy, pts, _ = generate_trial(dgp, 8, s_data)
+    sample = Sample(noisy.covariates, dgp.f_star(noisy.covariates[:, 0]))
     plan = make_partition_plan(DESK_N, 64, s_plan)
     matrix = fit_all_partitions(sample, plan, KernelSpec(lengthscale=0.2), rho, pts)
     assert np.all(matrix.values.std(axis=0) > 0)
@@ -247,28 +240,3 @@ def test_coverage_grid_thread_invariant():
     serial = run_coverage_grid(*args, master_seed=13, **GRID_KW)
     pooled = run_coverage_grid(*args, master_seed=13, threads=3, **GRID_KW)
     assert serial.cells == pooled.cells
-
-
-def test_coverage_csv_format(tmp_path):
-    dgp = DgpSpec(128)
-    report = run_coverage_grid(
-        dgp, (4,), (2, 4), 0.1, 100, 3, 11, kernel=KernelSpec(lengthscale=0.2)
-    )
-    path = tmp_path / "coverage.csv"
-    write_coverage_csv(report, path, metadata="config_hash=x master_seed=11")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# config_hash=x") and "log2" in lines[0]
-    assert lines[1] == "p,t,trials,hits,coverage,ci_lo,ci_hi"
-    assert len(lines) == 2 + 2
-    row = lines[2].split(",")
-    assert int(row[0]) == 4 and int(row[1]) == 2 and int(row[2]) == 3
-
-
-def test_rate_csv_has_slope_footer(tmp_path):
-    result = rate_study([256, 512], 0.5, reps=1, seed=7, kernel=KernelSpec(lengthscale=0.2))
-    path = tmp_path / "rate.csv"
-    write_rate_csv(result, path, metadata="config_hash=y master_seed=7")
-    lines = path.read_text().splitlines()
-    assert lines[1] == "n,partitions,median_sup_err"
-    assert lines[-1].startswith("slope,,")
-    assert len(lines) == 2 + 2 + 1
