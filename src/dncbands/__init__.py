@@ -10,14 +10,13 @@ achieve on synthetic heteroscedastic data.
 
 from . import bands, bootstrap, diagnostics, dnc, kernels, krr, simulation
 from .bands import Bands, band_intervals, calibrate, calibrate_prefixes, covers
-from .bootstrap import BootstrapDraws, bootstrap_moments, empirical_draws, multiplier_draws
+from .bootstrap import BootstrapDraws, empirical_draws, multiplier_draws
 from .dnc import LocalPredictionMatrix, PartitionPlan, average, fit_all_partitions, make_partition_plan
 from .kernels import (
     KernelSpec,
     SpectralModel,
     effective_dimension,
     effective_dimension_tail,
-    eval_kernel,
     gram_matrix,
 )
 from .krr import KrrFit, Sample, penalty_schedule
@@ -49,7 +48,6 @@ __all__ = [
     "calibrate_prefixes",
     "covers",
     "BootstrapDraws",
-    "bootstrap_moments",
     "empirical_draws",
     "multiplier_draws",
     "LocalPredictionMatrix",
@@ -61,7 +59,6 @@ __all__ = [
     "SpectralModel",
     "effective_dimension",
     "effective_dimension_tail",
-    "eval_kernel",
     "gram_matrix",
     "KrrFit",
     "Sample",

@@ -81,11 +81,3 @@ def multiplier_draws(
         w = rng.poisson(1.0, size=size).astype(np.float64)
     return BootstrapDraws(_weighted_deltas(matrix.values, matrix.row_mean, w))
 
-
-def bootstrap_moments(draws: BootstrapDraws) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component empirical mean and unbiased standard deviation."""
-    if draws.replicates < 2:
-        raise ValueError("at least two replicates are needed for moments")
-    mean = draws.deltas.mean(axis=0)
-    sd = draws.deltas.std(axis=0, ddof=1)
-    return mean, sd

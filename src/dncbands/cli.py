@@ -88,14 +88,6 @@ def _metadata(cfg: RunConfig) -> str:
     return f"config_hash={config_hash(cfg)} master_seed={cfg.seed}"
 
 
-def _dgp_table(cfg: RunConfig) -> tuple:
-    """Config stores (x, f) pairs; the simulation wants (xs, fs)."""
-    if not cfg.dgp_table:
-        return ()
-    xs, fs = zip(*cfg.dgp_table)
-    return (xs, fs)
-
-
 def _write_csv(cfg: RunConfig, name, header, rows, note="") -> str:
     """Write ``name`` in the output directory, creating it; return the path.
 
@@ -177,7 +169,7 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
 
 def cmd_coverage(cfg: RunConfig) -> list:
     n_total, grid_p, grid_t, trials = effective_grid(cfg)
-    dgp = simulation.DgpSpec(n_total, cfg.dgp_true_function, _dgp_table(cfg))
+    dgp = simulation.DgpSpec(n_total, cfg.dgp_true_function, cfg.dgp_table)
     kernel = cfg.kernel_spec()
     report = simulation.run_coverage_grid(
         dgp, grid_p, grid_t, cfg.alpha, cfg.bootstrap_replicates, trials,
@@ -190,7 +182,7 @@ def cmd_coverage(cfg: RunConfig) -> list:
     diag_header, diag = [], {}
     if cfg.diagnostics_enabled:
         diag_header = ["variance_proxy", "g_rho_est"]
-        diag = _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t, trials)
+        diag = _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t)
     out = _write_csv(
         cfg, "coverage.csv", header + diag_header,
         [row + diag.get(row[:2], ()) for row in rows], note=" axes=log2(P),log2(T),coverage",
@@ -201,7 +193,7 @@ def cmd_coverage(cfg: RunConfig) -> list:
     return [out]
 
 
-def _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t, trials) -> dict:
+def _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t) -> dict:
     """(P, T) -> (variance proxy, estimated proxy-to-noise ratio)."""
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
     rho = krr.penalty_schedule(
@@ -213,7 +205,7 @@ def _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t, trials) -> dict:
         s = dgp.n // p
         proxy = diag_mod.variance_proxy(model, s, rho)
         # re-derive the first trial of the row, at max(T), for the empirical floor
-        trial_seed = row_seed.spawn(max(trials, 1))[0]
+        trial_seed = row_seed.spawn(1)[0]
         matrix, _, _ = simulation._trial_matrix(dgp, max(grid_t), p, kernel, rho, trial_seed)
         for t in grid_t:
             head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
@@ -226,7 +218,7 @@ def cmd_rate(cfg: RunConfig) -> list:
     result = simulation.rate_study(
         cfg.rate_ns, cfg.penalty_r_prime, cfg.rate_reps, cfg.seed,
         kernel=cfg.kernel_spec(), schedule_c=cfg.penalty_c, threads=cfg.threads,
-        true_function=cfg.dgp_true_function, table=_dgp_table(cfg),
+        true_function=cfg.dgp_true_function, table=cfg.dgp_table,
     )
     rows = [
         *zip(result.sizes, result.partition_counts, result.median_sup_errors),
@@ -283,9 +275,13 @@ def cmd_dry_run(cfg: RunConfig) -> list:
     simulation.check_grid(n_total, grid_p, grid_t)
     print(f"config_hash={config_hash(cfg)} master_seed={cfg.seed}")
     print(f"coverage grid: N={n_total}, trials per cell={trials}")
+    b, r_prime = cfg.kernel_spec().decay_exponent(1), cfg.penalty_r_prime
+    bound = simulation.partition_bound_check(n_total, b, r_prime)
+    print(f"averaging-regime bound on P: N^((2br'-1)/(2br'+1)) = {bound:.1f} (b={b:g}, r'={r_prime:g})")
     for p in grid_p:
+        flag = "  (P above the bound)" if p > bound else ""
         for t in grid_t:
-            print(f"  cell P={p} T={t}")
+            print(f"  cell P={p} T={t}{flag}")
     print(f"cells: {len(grid_p)}x{len(grid_t)}={len(grid_p) * len(grid_t)}")
     # the T cells of one P row share each trial's fit and bootstrap
     print(f"pipeline runs: {len(grid_p)}x{trials}={len(grid_p) * trials}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .bootstrap import MULTIPLIER_DISTRIBUTIONS
 from .kernels import KernelSpec
+from .simulation import DgpSpec
 
 
 class ConfigError(ValueError):
@@ -55,7 +56,7 @@ class RunConfig:
     output_dir: str = "out"
     dgp_n: int = 4096
     dgp_true_function: str = "sin2pix"
-    dgp_table: tuple[tuple[float, float], ...] = ()  # (x, f) pairs for the table variant
+    dgp_table: tuple[tuple[float, float], ...] = ()  # DgpSpec.table: (x, f) pairs
     grid_p: tuple[int, ...] = (16, 64)
     grid_t: tuple[int, ...] = (4, 64)
     grid_trials: int = 500
@@ -147,6 +148,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     """Apply module range checks before any compute; raises ConfigError."""
     try:
         cfg.kernel_spec()
+        DgpSpec(cfg.dgp_n, cfg.dgp_true_function, cfg.dgp_table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not (0.5 <= cfg.penalty_r_prime <= 1.0):
@@ -167,12 +169,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"bootstrap.multiplier must be one of {MULTIPLIER_DISTRIBUTIONS}, got {cfg.bootstrap_multiplier!r}"
         )
-    if cfg.dgp_n < 1:
-        raise ConfigError(f"dgp.n must be positive, got {cfg.dgp_n}")
-    if cfg.dgp_true_function not in ("sin2pix", "table"):
-        raise ConfigError(f"dgp.true_function must be sin2pix or table, got {cfg.dgp_true_function!r}")
-    if cfg.dgp_true_function == "table" and len(cfg.dgp_table) < 2:
-        raise ConfigError("dgp.true_function=table needs dgp.table with at least two x:f pairs")
     if not cfg.grid_p or any(p < 1 for p in cfg.grid_p):
         raise ConfigError(f"grid.p must be positive integers, got {cfg.grid_p}")
     if not cfg.grid_t or any(t < 1 for t in cfg.grid_t):
@@ -181,8 +177,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if len(set(values)) != len(values):
             # the T cells of a row share trials, so a repeat would count them twice
             raise ConfigError(f"{key} has repeated values, got {values}")
-    if cfg.grid_trials < 0:
-        raise ConfigError(f"grid.trials must be non-negative, got {cfg.grid_trials}")
+    if cfg.grid_trials < 1:
+        raise ConfigError(f"grid.trials must be at least 1, got {cfg.grid_trials}")
     if not cfg.rate_ns or any(n < 1 for n in cfg.rate_ns):
         raise ConfigError(f"rate.ns must be positive integers, got {cfg.rate_ns}")
     if cfg.rate_reps < 1:

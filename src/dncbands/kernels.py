@@ -1,4 +1,4 @@
-"""Matern kernels, Gram matrices, and a truncated spectral model.
+"""Matern kernel matrices and a truncated spectral model.
 
 The kernel is always a half-integer Matern; for nu in {1/2, 3/2, 5/2, 7/2}
 it has a closed form
@@ -6,7 +6,9 @@ it has a closed form
     k(r) = s * p(u) * exp(-u),    u = sqrt(2 nu) r / l,
 
 with p a polynomial of degree nu - 1/2, so no Bessel-function
-evaluation is ever needed.  In dimension d its eigenvalues decay
+evaluation is ever needed.  The kernel is only evaluated as a matrix:
+``cross_matrix`` and ``gram_matrix`` apply the closed form to a buffer
+of pairwise distances in place.  In dimension d its eigenvalues decay
 polynomially with exponent b = 2 nu + d (``KernelSpec.decay_exponent``);
 the spectral model pins them to mu_j = j^(-b) exactly, which makes
 every diagnostic reproducible.
@@ -59,16 +61,12 @@ def _as_points(x) -> np.ndarray:
     return a
 
 
-def matern_profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of the Euclidean distance r >= 0."""
-    return _matern_profile_inplace(spec, np.array(r, dtype=np.float64))
-
-
 def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """matern_profile computed in r's buffer, which it overwrites.
+    """Kernel values s * p(u) * exp(-u) at the distances r >= 0, in r's buffer.
 
-    The steps are those of s * p(u) * exp(-u) in the same order, so the
-    values are bitwise equal; two more buffers of r's shape are used.
+    r is overwritten; two more buffers of r's shape are used.  The steps
+    follow the closed form term by term, so the values are those of the
+    written-out formula bit for bit.
     """
     u = r
     u *= np.sqrt(2.0 * spec.nu)
@@ -79,8 +77,7 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         term /= 3.0
         poly += term
     elif spec.nu == 3.5:
-        # 0.4 * u * u, then u * u * u / 15 (out= keeps a 0-d u an array)
-        term = np.multiply(u, 0.4, out=np.empty_like(u))
+        term = u * 0.4  # 0.4 * u * u, then u * u * u / 15
         term *= u
         poly += term
         np.multiply(u, u, out=term)
@@ -92,27 +89,6 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     np.exp(u, out=u)
     poly *= u
     return poly
-
-
-def _as_single_point(x) -> np.ndarray:
-    """Coerce a scalar or d-vector to a (1, d) point."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim > 2 or (a.ndim == 2 and a.shape[0] != 1):
-        raise ValueError(f"expected a single point, got shape {a.shape}")
-    a = a.reshape(1, -1)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite covariate values")
-    return a
-
-
-def eval_kernel(spec: KernelSpec, x, xp) -> float:
-    """Evaluate k(x, x') for two points of the covariate space."""
-    a = _as_single_point(x)
-    b = _as_single_point(xp)
-    if a.shape != b.shape:
-        raise ValueError("eval_kernel expects two points of equal dimension")
-    r = float(np.linalg.norm(a - b))
-    return float(matern_profile(spec, r))
 
 
 def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:

@@ -39,23 +39,30 @@ class DgpSpec:
 
     n: int
     true_function: str = "sin2pix"
-    # piecewise-linear table (xs, fs), used when true_function == "table"
+    # (x, f) pairs of a piecewise-linear truth, used when true_function ==
+    # "table": at least two, finite, x strictly increasing; the truth is
+    # held constant beyond the first and last x
     table: tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"sample size must be positive, got {self.n}")
+            raise ValueError(f"sample size n must be positive, got {self.n}")
         if self.true_function not in ("sin2pix", "table"):
-            raise ValueError(f"unknown true function {self.true_function!r}")
+            raise ValueError(f"true function must be sin2pix or table, got {self.true_function!r}")
         if self.true_function == "table":
-            if len(self.table) != 2 or len(self.table[0]) != len(self.table[1]):
-                raise ValueError("table must be a pair of equal-length sequences")
+            pairs = np.asarray(self.table, dtype=np.float64)
+            if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
+                raise ValueError(f"table needs at least two (x, f) pairs, got {self.table!r}")
+            if not np.all(np.isfinite(pairs)):
+                raise ValueError(f"table values must be finite, got {self.table!r}")
+            if not np.all(np.diff(pairs[:, 0]) > 0):
+                raise ValueError(f"table x values must be strictly increasing, got {self.table!r}")
 
     def f_star(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.true_function == "sin2pix":
             return np.sin(SIN_FREQUENCY * x)
-        xs, fs = (np.asarray(v, dtype=np.float64) for v in self.table)
+        xs, fs = np.asarray(self.table, dtype=np.float64).T
         return np.interp(x, xs, fs)
 
     @staticmethod
@@ -174,21 +181,15 @@ def run_coverage_cell(
     n_replicates: int,
     trials: int,
     seed,
-    kernel: KernelSpec = KernelSpec(),
-    r_prime: float = 0.5,
-    schedule_c: float = 1.0,
-    scheme: str = "empirical",
-    multiplier: str = "gaussian",
-    threads: int = 1,
+    **options,
 ) -> tuple[int, int]:
     """Monte Carlo hit count for one (P, T) configuration.
 
-    The row of ``run_coverage_row`` with the single T ``(n_points,)``.
+    The row of ``run_coverage_row`` with the single T ``(n_points,)``;
+    ``options`` are its keyword options.
     """
     (hits,), done = run_coverage_row(
-        dgp, n_partitions, (n_points,), alpha, n_replicates, trials, seed,
-        kernel=kernel, r_prime=r_prime, schedule_c=schedule_c,
-        scheme=scheme, multiplier=multiplier, threads=threads,
+        dgp, n_partitions, (n_points,), alpha, n_replicates, trials, seed, **options
     )
     return hits, done
 
@@ -251,33 +252,27 @@ def run_coverage_grid(
     n_replicates: int,
     trials: int,
     master_seed: int,
-    kernel: KernelSpec = KernelSpec(),
-    r_prime: float = 0.5,
-    schedule_c: float = 1.0,
-    scheme: str = "empirical",
-    multiplier: str = "gaussian",
-    threads: int = 1,
+    **options,
 ) -> CoverageReport:
     """Run the grid one P row at a time; the T cells of a row share trials.
 
     Row i is seeded by SeedSequence(master_seed).spawn(len(grid_p))[i],
-    which spawns the trial seeds.
+    which spawns the trial seeds.  ``options`` are the keyword options of
+    ``run_coverage_row``.
     """
     check_grid(dgp.n, grid_p, grid_t)
     row_seeds = np.random.SeedSequence(master_seed).spawn(len(grid_p))
     cells = []
     for p, row_seed in zip(grid_p, row_seeds):
         hits, done = run_coverage_row(
-            dgp, p, tuple(grid_t), alpha, n_replicates, trials, row_seed,
-            kernel=kernel, r_prime=r_prime, schedule_c=schedule_c,
-            scheme=scheme, multiplier=multiplier, threads=threads,
+            dgp, p, tuple(grid_t), alpha, n_replicates, trials, row_seed, **options
         )
         cells.extend(CoverageCell(p, t, done, h) for t, h in zip(grid_t, hits))
     return CoverageReport(cells)
 
 
-def partition_bound_check(n_total: int, b: float, r_prime: float, c: float = 1.0) -> float:
-    """Largest partition count consistent with the averaging regime.
+def partition_bound_check(n_total: int, b: float, r_prime: float) -> float:
+    """Largest partition count of the averaging regime, N^((2br'-1)/(2br'+1)).
 
     Accepts any r' in [1/(2b), 1]: unlike the penalty schedule, the
     bound is meaningful down to the exponent's zero.
@@ -289,7 +284,7 @@ def partition_bound_check(n_total: int, b: float, r_prime: float, c: float = 1.0
     if not (1.0 / (2.0 * b) <= r_prime <= 1.0):
         raise ValueError(f"r' must lie in [1/(2b), 1], got {r_prime}")
     exponent = (2.0 * b * r_prime - 1.0) / (2.0 * b * r_prime + 1.0)
-    return c * float(n_total) ** exponent
+    return float(n_total) ** exponent
 
 
 def power_of_two_sqrt(n_total: int) -> int:

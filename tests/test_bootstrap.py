@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from dncbands import kernels
-from dncbands.bootstrap import (
-    bootstrap_moments,
-    empirical_draws,
-    multiplier_draws,
-    resample_deltas,
-)
+from dncbands.bootstrap import empirical_draws, multiplier_draws, resample_deltas
 from dncbands.dnc import LocalPredictionMatrix
 
 
@@ -117,9 +112,8 @@ def test_multiplier_single_partition_identity():
         draws = multiplier_draws(matrix, 2000, seed=6, dist=dist)
         assert draws.deltas.shape == (2000, 3)
         assert np.all(draws.deltas == 0.0)
-        mean, sd = bootstrap_moments(draws)
-        assert np.all(mean == 0.0)
-        assert np.all(sd == 0.0)
+        assert np.all(draws.deltas.mean(axis=0) == 0.0)
+        assert np.all(draws.deltas.std(axis=0, ddof=1) == 0.0)
 
 
 def test_multiplier_zero_matrix_gives_zero_deltas():
@@ -152,23 +146,6 @@ def test_poisson_multiplier_variance_closed_form():
     assert draws.deltas[:, 0].var() == pytest.approx(expected, rel=0.05)
 
 
-def test_moments_zero_deltas():
-    matrix = matrix_from([[1.5, 2.5]] * 4)
-    draws = empirical_draws(matrix, 100, seed=10)
-    mean, sd = bootstrap_moments(draws)
-    assert np.array_equal(mean, np.zeros(2))
-    assert np.array_equal(sd, np.zeros(2))
-
-
-def test_moments_two_point_hand_arithmetic():
-    from dncbands.bootstrap import BootstrapDraws
-
-    draws = BootstrapDraws(np.array([[-1.0], [1.0]]))
-    mean, sd = bootstrap_moments(draws)
-    assert mean[0] == 0.0
-    assert sd[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
 def test_empirical_and_multiplier_sds_agree():
     # on centred rows both schemes have conditional mean 0 and covariance
     # (V - v_bar)^T (V - v_bar) / P^2, so the sd gap is Monte Carlo error
@@ -176,8 +153,8 @@ def test_empirical_and_multiplier_sds_agree():
     rng = np.random.default_rng(11)
     matrix = matrix_from(rng.normal(size=(256, 8)))
     b = 10**5
-    _, sd_emp = bootstrap_moments(empirical_draws(matrix, b, seed=12))
-    _, sd_mul = bootstrap_moments(multiplier_draws(matrix, b, seed=13))
+    sd_emp = empirical_draws(matrix, b, seed=12).deltas.std(axis=0, ddof=1)
+    sd_mul = multiplier_draws(matrix, b, seed=13).deltas.std(axis=0, ddof=1)
     assert np.max(np.abs(sd_emp - sd_mul) / sd_emp) < 0.05
 
 
@@ -196,9 +173,8 @@ def test_no_kernel_evaluations_during_bootstrap(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("bootstrap must not evaluate the kernel")
 
-    # cross_matrix and gram_matrix reach the profile through the private one
-    for name in ("matern_profile", "_matern_profile_inplace"):
-        monkeypatch.setattr(kernels, name, boom)
+    # cross_matrix and gram_matrix evaluate the kernel through this one function
+    monkeypatch.setattr(kernels, "_matern_profile_inplace", boom)
     rng = np.random.default_rng(15)
     matrix = matrix_from(rng.normal(size=(8, 3)))
     empirical_draws(matrix, 200, seed=16)

@@ -125,6 +125,8 @@ def test_config_validation_errors():
         make_config({"grid.p": (16, 64, 16)})
     with pytest.raises(ConfigError, match="grid.t has repeated values"):
         make_config({"grid.t": (4, 4)})
+    with pytest.raises(ConfigError, match="grid.trials must be at least 1, got 0"):
+        make_config({"grid.trials": 0})
 
 
 def test_comments_and_blank_lines_ignored():
@@ -404,14 +406,39 @@ def test_cmd_dry_run_full_scale_counts_cells(tmp_path, capsys):
     assert "partition fits: 8128x2000=16256000" in out
 
 
-def test_cmd_dry_run_rejects_a_grid_coverage_rejects(tmp_path, capsys):
+def test_cmd_dry_run_prints_the_partition_bound(tmp_path, capsys):
+    # N^((2br'-1)/(2br'+1)) with b = 2 nu + 1 = 8 and r' = 0.5: 4096^(7/9)
+    assert run_cli(["dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "averaging-regime bound on P: N^((2br'-1)/(2br'+1)) = 645.1 (b=8, r'=0.5)" in out
+    assert "above the bound" not in out
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dgp.n = 100\ngrid.p = 8,7\ngrid.t = 2\ngrid.trials = 1\n")
-    for command in ("dry-run", "coverage"):
-        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
-        captured = capsys.readouterr()
-        assert "partition counts [8, 7] do not divide N=100" in captured.err
-        assert "partition fits" not in captured.out
+    cfg.write_text("grid.p = 16,1024\ngrid.t = 4\n")
+    assert run_cli(["dry-run", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  cell P=16 T=4" in lines
+    assert "  cell P=1024 T=4  (P above the bound)" in lines
+
+
+def test_cmd_dry_run_rejects_a_grid_coverage_rejects(tmp_path, capsys):
+    configs = {
+        "dgp.n = 100\ngrid.p = 8,7\ngrid.t = 2\ngrid.trials = 1\n":
+            "partition counts [8, 7] do not divide N=100",
+        "grid.trials = 0\n": "grid.trials must be at least 1, got 0",
+        # DgpSpec's table rules, reached through validate_config
+        "dgp.true_function = table\ndgp.table = 1:0; 0:1; 0.5:2\n": "strictly increasing",
+        "dgp.true_function = table\ndgp.table = 0:0; 0:1\n": "strictly increasing",
+        "dgp.true_function = table\ndgp.table = 0:nan; 1:0\n": "finite",
+    }
+    cfg = tmp_path / "run.cfg"
+    for text, message in configs.items():
+        cfg.write_text(text)
+        for command in ("dry-run", "coverage"):
+            assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert "partition fits" not in captured.out
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_rate_csv(tmp_path):

@@ -12,8 +12,9 @@ from dncbands.dnc import (
     fit_all_partitions,
     make_partition_plan,
 )
-from dncbands.kernels import KernelSpec, eval_kernel
+from dncbands.kernels import KernelSpec
 from dncbands.krr import Sample, fit, predict
+from test_kernels import closed_form_profile
 
 
 def test_single_partition_plan():
@@ -104,11 +105,14 @@ def test_two_partitions_match_scalar_reference_loop():
         k = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                k[i, j] = eval_kernel(spec, xs[i], xs[j])
+                k[i, j] = closed_form_profile(spec, np.linalg.norm(xs[i] - xs[j]))
         alpha = np.linalg.solve(k + n * rho * np.eye(n), ys)
         row = []
         for t in range(2):
-            row.append(sum(alpha[i] * eval_kernel(spec, points[t], xs[i]) for i in range(n)))
+            row.append(sum(
+                alpha[i] * closed_form_profile(spec, np.linalg.norm(points[t] - xs[i]))
+                for i in range(n)
+            ))
         reference_rows.append(row)
     reference = np.asarray(reference_rows)
     assert np.allclose(matrix.values, reference, rtol=1e-10)

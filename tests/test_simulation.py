@@ -36,9 +36,25 @@ def test_truth_uses_literal_constant():
 
 
 def test_table_true_function():
-    dgp = DgpSpec(16, true_function="table", table=((0.0, 0.5, 1.0), (0.0, 2.0, 0.0)))
+    dgp = DgpSpec(16, true_function="table", table=((0.0, 0.0), (0.5, 2.0), (1.0, 0.0)))
     assert dgp.f_star(0.25) == pytest.approx(1.0)
     assert dgp.f_star(0.5) == 2.0
+    dgp = DgpSpec(16, true_function="table", table=((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))
+    assert np.array_equal(dgp.f_star([0.0, 0.25, 0.5, 0.75, 1.0]), [1.0, 1.5, 2.0, 1.0, 0.0])
+
+
+def test_table_rules():
+    # np.interp assumes increasing x: the first table below would give the
+    # truth 0, 0, 0, 2, 2 at x = 0, .25, .5, .75, 1, not 1, 1.5, 2, 1, 0
+    bad = {
+        "strictly increasing": (((1.0, 0.0), (0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.0, 2.0))),
+        "at least two": ((), ((0.0, 1.0),), ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0))),
+        "finite": (((0.0, np.nan), (1.0, 0.0)), ((0.0, 1.0), (np.inf, 0.0))),
+    }
+    for message, tables in bad.items():
+        for table in tables:
+            with pytest.raises(ValueError, match=message):
+                DgpSpec(16, true_function="table", table=table)
 
 
 def test_generate_trial_shapes_and_determinism():
