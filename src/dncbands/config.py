@@ -12,14 +12,15 @@ round-trips through ``serialize_config``.
 The config hash identifies the scientific content of a run: it covers
 every key except the execution-only ones (threads, output.dir), so two
 runs that may differ only in parallelism or output location share a
-hash.
+hash.  ``dgp.table`` is hashed as its default ``()`` unless
+``dgp.true_function = table``, the only truth that reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bootstrap import MULTIPLIER_DISTRIBUTIONS
 from .kernels import KernelSpec
@@ -218,6 +219,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     """Short digest of the scientific config (execution keys excluded)."""
+    if cfg.dgp_true_function != "table":
+        cfg = replace(cfg, dgp_table=())  # ignored by every other truth
     text = "\n".join(_config_lines(cfg, skip=EXECUTION_ONLY_KEYS))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 

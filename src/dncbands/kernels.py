@@ -8,7 +8,20 @@ it has a closed form
 with p a polynomial of degree nu - 1/2, so no Bessel-function
 evaluation is ever needed.  The kernel is only evaluated as a matrix:
 ``cross_matrix`` and ``gram_matrix`` apply the closed form to a buffer
-of pairwise distances in place.  In dimension d its eigenvalues decay
+of pairwise distances in place, one block of rows at a time.  A block
+holds about ``ROW_BLOCK_ENTRIES`` = 2^16 entries: its distance buffer is
+512 KB, so with the closed form's one scratch buffer and its output
+block it stays in a core's L2 cache, and the dozen elementwise passes
+of the closed form no longer stream (n, m) buffers through memory.
+Smaller blocks cost more than they save when two threads fit
+partitions at once: each block is another round of short ufunc calls
+that hold the GIL.  Each block is written straight into the
+preallocated result, so a shape that fits in one block costs no more
+buffers than an unblocked evaluation.  ``gram_matrix`` evaluates
+each block only up to its last column, mirrors the strictly lower
+triangle and then sets the diagonal.  Every entry goes through the same
+elementwise steps in the same order at any block size, so the values do
+not depend on it bit for bit.  In dimension d its eigenvalues decay
 polynomially with exponent b = 2 nu + d (``KernelSpec.decay_exponent``);
 the spectral model pins them to mu_j = j^(-b) exactly, which makes
 every diagnostic reproducible.
@@ -21,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
+ROW_BLOCK_ENTRIES = 2**16  # distance-buffer entries per row block
 
 
 @dataclass(frozen=True)
@@ -61,17 +75,20 @@ def _as_points(x) -> np.ndarray:
     return a
 
 
-def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """Kernel values s * p(u) * exp(-u) at the distances r >= 0, in r's buffer.
+def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -> None:
+    """Kernel values s * p(u) * exp(-u) at the distances r >= 0, into poly.
 
-    r is overwritten; two more buffers of r's shape are used.  The steps
-    follow the closed form term by term, so the values are those of the
-    written-out formula bit for bit.
+    r is overwritten, and one more buffer of r's shape is used.  The
+    steps follow the closed form term by term, so the values are those
+    of the written-out formula bit for bit.
     """
     u = r
     u *= np.sqrt(2.0 * spec.nu)
     u /= spec.lengthscale
-    poly = np.ones_like(u) if spec.nu == 0.5 else u + 1.0
+    if spec.nu == 0.5:
+        poly.fill(1.0)
+    else:
+        np.add(u, 1.0, out=poly)
     if spec.nu == 2.5:
         term = u * u  # u * u / 3
         term /= 3.0
@@ -88,7 +105,24 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     np.negative(u, out=u)
     np.exp(u, out=u)
     poly *= u
-    return poly
+
+
+def _kernel_rows(spec: KernelSpec, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """k(a_i, b_j) for one block of rows a, into out."""
+    # squared distances, summed in coordinate order into one contiguous buffer
+    r = np.subtract.outer(a[:, 0], b[:, 0])
+    r *= r
+    for j in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff *= diff
+        r += diff
+    np.sqrt(r, out=r)
+    _matern_profile_inplace(spec, r, out)
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block when each row has m entries."""
+    return max(1, ROW_BLOCK_ENTRIES // max(m, 1))
 
 
 def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:
@@ -97,21 +131,22 @@ def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     b = _as_points(points_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets live in different dimensions")
-    # squared distances, summed in coordinate order into one (n, m) buffer
-    r = np.subtract.outer(a[:, 0], b[:, 0])
-    r *= r
-    for j in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, j], b[:, j])
-        diff *= diff
-        r += diff
-    np.sqrt(r, out=r)
-    return _matern_profile_inplace(spec, r)
+    n, rows = a.shape[0], _block_rows(b.shape[0])
+    k = np.empty((n, b.shape[0]))
+    for start in range(0, n, rows):
+        _kernel_rows(spec, a[start : start + rows], b, k[start : start + rows])
+    return k
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix of a point set; diagonal equals output_scale."""
     a = _as_points(points)
-    k = cross_matrix(spec, a, a)
+    n, rows = a.shape[0], _block_rows(a.shape[0])
+    k = np.empty((n, n))
+    for start in range(0, n, rows):  # each block of rows up to its last column
+        stop = min(start + rows, n)
+        _kernel_rows(spec, a[start:stop], a[:stop], k[start:stop, :stop])
+        k[:start, start:stop] = k[start:stop, :start].T  # mirror, still in cache
     # exactly symmetric: a_i - a_j is -(a_j - a_i) in IEEE arithmetic
     np.fill_diagonal(k, spec.output_scale)
     return k

@@ -73,6 +73,13 @@ def _solve_regularized(k: np.ndarray, y: np.ndarray, nrho: float) -> np.ndarray:
     Base jitter is 1e-12 tr(K)/n, escalated x10 at most 3 times.  One
     pass of iterative refinement keeps the representer residual at
     working precision even for stiff systems.
+
+    The shifted matrix is factored through its transpose: LAPACK wants
+    Fortran order, and a C-ordered matrix would first be copied with a
+    strided transpose, while ``a.T`` is already Fortran-ordered and is
+    copied contiguously.  ``gram_matrix`` is exactly symmetric and only
+    the diagonal is shifted, so ``a.T`` is the same matrix bit for bit
+    and the factor does not change.
     """
     n = k.shape[0]
     base = 1e-12 * float(np.trace(k)) / n
@@ -83,7 +90,7 @@ def _solve_regularized(k: np.ndarray, y: np.ndarray, nrho: float) -> np.ndarray:
         a = k.copy()
         a.flat[:: n + 1] += nrho + jitter
         try:
-            factor = cho_factor(a, lower=True, check_finite=False)
+            factor = cho_factor(a.T, lower=True, check_finite=False)
         except LinAlgError:
             attempted.append(jitter)
             jitter = base if jitter == 0.0 else 10.0 * jitter

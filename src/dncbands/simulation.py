@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import _blas
 from . import bands as bands_mod
@@ -203,11 +203,11 @@ def coverage_ci99(hits: int, trials: int) -> tuple[float, float]:
     if hits == 0:
         lo = 0.0
     else:
-        lo = float(beta_dist.ppf(0.005, hits, trials - hits + 1))
+        lo = float(betaincinv(hits, trials - hits + 1, 0.005))
     if hits == trials:
         hi = 1.0
     else:
-        hi = float(beta_dist.ppf(0.995, hits + 1, trials - hits))
+        hi = float(betaincinv(hits + 1, trials - hits, 0.995))
     return lo, hi
 
 

@@ -160,6 +160,14 @@ def test_config_hash_ignores_execution_keys():
     assert config_hash(base) != config_hash(make_config({"alpha": 0.2}))
 
 
+def test_config_hash_ignores_a_table_the_truth_does_not_read():
+    table = ((0.0, 0.0), (1.0, 1.0))
+    assert config_hash(make_config({"dgp.table": table})) == config_hash(make_config({}))
+    with_table = make_config({"dgp.true_function": "table", "dgp.table": table})
+    other = make_config({"dgp.true_function": "table", "dgp.table": ((0.0, 0.0), (1.0, 2.0))})
+    assert config_hash(with_table) != config_hash(other)
+
+
 def test_full_scale_grid_dimensions():
     n, grid_p, grid_t, trials = effective_grid(make_config({"grid.full_scale": True}))
     assert n == 2**16

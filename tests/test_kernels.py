@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dncbands import kernels
 from dncbands.kernels import (
+    HALF_INTEGER_NUS,
     KernelSpec,
     SpectralModel,
     cross_matrix,
@@ -140,6 +142,24 @@ def test_kernel_matrices_bitwise_equal_closed_form():
             a = rng.uniform(-2, 2, (40, 9))
             assert np.allclose(gram_matrix(spec, a), closed_form_cross(spec, a, a),
                                rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [1, 3, kernels.ROW_BLOCK_ENTRIES])
+def test_kernel_matrices_do_not_depend_on_the_row_block(monkeypatch, block):
+    # several blocks each, the last one short at the default block size
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(8)
+    for nu in HALF_INTEGER_NUS:
+        spec = KernelSpec(nu=nu, lengthscale=0.7, output_scale=1.3)
+        for n, d in ((1500, 1), (300, 3)):
+            a = rng.uniform(-2, 2, (n, d))
+            g = gram_matrix(spec, a)
+            assert np.array_equal(g, closed_form_cross(spec, a, a))
+            assert np.array_equal(g, g.T)
+        for n, m in ((513, 1024), (1, 700), (1000, 1)):
+            a = rng.uniform(-2, 2, (n, 2))
+            b = rng.uniform(-2, 2, (m, 2))
+            assert np.array_equal(cross_matrix(spec, a, b), closed_form_cross(spec, a, b))
 
 
 def test_effective_dimension_single_eigenvalue():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from dncbands import krr
 from dncbands.kernels import KernelSpec, gram_matrix
 from dncbands.krr import (
     FitNumericalError,
@@ -172,3 +174,39 @@ def test_jitter_ladder_exhaustion_reports_attempts():
     assert len(jitters) == 4 and jitters[0] == 0.0
     assert jitters[2] == pytest.approx(10 * jitters[1])
     assert jitters[3] == pytest.approx(100 * jitters[1])
+
+
+def test_factoring_the_transpose_keeps_every_bit(monkeypatch):
+    # oracle: the same fits with the C-ordered shifted Gram handed to cho_factor
+    systems = (  # n, nu, lengthscale, rho, noise, (factor failures, solves)
+        (64, 3.5, 1.0, 1e-3, 1.0, (0, 1)),
+        (300, 3.5, 1.0, 1e-4, 1.0, (0, 1)),
+        (1024, 3.5, 1.0, 1e-5, 1.0, (0, 1)),
+        (64, 2.5, 1.0, 1e-9, 1.0, (0, 2)),  # needs the refinement step
+        (300, 3.5, 1.0, 1e-18, 0.0, (1, 1)),  # climbs the jitter ladder
+    )
+    for n, nu, lengthscale, rho, noise, path in systems:
+        sample = random_sample(n, seed=n, noise=noise)
+        kernel = KernelSpec(nu=nu, lengthscale=lengthscale)
+        got = fit(sample, kernel, rho).dual_weights
+        seen = {"failures": 0, "solves": 0}
+
+        def c_ordered_factor(m, **kwargs):
+            a = m.T
+            assert a.flags.c_contiguous and np.array_equal(a, m)
+            try:
+                return cho_factor(a, **kwargs)
+            except LinAlgError:
+                seen["failures"] += 1
+                raise
+
+        def counted_solve(*args, **kwargs):
+            seen["solves"] += 1
+            return cho_solve(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(krr, "cho_factor", c_ordered_factor)
+            patch.setattr(krr, "cho_solve", counted_solve)
+            want = fit(sample, kernel, rho).dual_weights
+        assert (seen["failures"], seen["solves"]) == path
+        assert np.array_equal(got, want)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dncbands
 from dncbands import bootstrap, dnc
 from dncbands.bands import band_intervals, calibrate, covers
 from dncbands.bootstrap import BootstrapDraws, empirical_draws
@@ -141,6 +146,31 @@ def test_coverage_ci99_reference_values():
     assert lo == pytest.approx(0.9294956247985419, rel=1e-10)
     assert hi == pytest.approx(0.9660733372897797, rel=1e-10)
     assert lo < 0.95 < hi
+
+
+def test_coverage_ci99_bitwise_reference_values():
+    # frozen from scipy.stats.beta.ppf, which coverage_ci99 used to call
+    reference = {
+        (0, 1): (0.0, 0.995),
+        (1, 1): (0.005, 1.0),
+        (0, 500): (0.0, 0.010540688188675816),
+        (473, 500): (0.9144444176693008, 0.9686861704745371),
+        (464, 500): (0.8929583274621975, 0.9545771241529332),
+        (500, 500): (0.9894593118113242, 1.0),
+        (1, 2000): (2.506267771077823e-06, 0.0037090983904222346),
+        (7, 59): (0.03575530596677078, 0.2661717052140873),
+    }
+    for (hits, trials), interval in reference.items():
+        assert coverage_ci99(hits, trials) == interval
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(dncbands.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dncbands.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_coverage_ci99_domain_errors():
