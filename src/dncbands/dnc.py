@@ -107,8 +107,10 @@ def fit_all_partitions(
     is identical for any thread count and core count: partition subsets
     are read-only, rows come back in partition order, the mean reduces in
     order, and BLAS runs one thread on the serial and pooled paths alike
-    (a threaded Cholesky rounds differently from one thread).  A failure
-    raises the lowest failing partition's PartitionFitError.
+    (a threaded Cholesky rounds differently from one thread).  The pooled
+    fits overlap in their BLAS work and in their Choleskys, whose LAPACK
+    calls drop the GIL.  A failure raises the lowest failing partition's
+    PartitionFitError.
     """
     if plan.total != sample.size:
         raise ValueError(

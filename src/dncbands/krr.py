@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ._blas import cho_factor, cho_solve
 from .kernels import KernelSpec, cross_matrix, gram_matrix
 
 RESIDUAL_RTOL = 1e-8
@@ -74,32 +74,37 @@ def _solve_regularized(k: np.ndarray, y: np.ndarray, nrho: float) -> np.ndarray:
     pass of iterative refinement keeps the representer residual at
     working precision even for stiff systems.
 
+    ``k`` is overwritten: each attempt sets its diagonal to the saved
+    diagonal plus nrho + jitter, the same sums a shifted copy would hold.
+    The caller's Gram matrix is not read again, so a fit needs one n x n
+    buffer fewer.
+
     The shifted matrix is factored through its transpose: LAPACK wants
     Fortran order, and a C-ordered matrix would first be copied with a
-    strided transpose, while ``a.T`` is already Fortran-ordered and is
+    strided transpose, while ``k.T`` is already Fortran-ordered and is
     copied contiguously.  ``gram_matrix`` is exactly symmetric and only
-    the diagonal is shifted, so ``a.T`` is the same matrix bit for bit
+    the diagonal is shifted, so ``k.T`` is the same matrix bit for bit
     and the factor does not change.
     """
     n = k.shape[0]
     base = 1e-12 * float(np.trace(k)) / n
+    diag = k.diagonal().copy()
     ynorm = float(np.linalg.norm(y))
     attempted = []
     jitter = 0.0
     for step in range(4):
-        a = k.copy()
-        a.flat[:: n + 1] += nrho + jitter
+        k.flat[:: n + 1] = diag + (nrho + jitter)
         try:
-            factor = cho_factor(a.T, lower=True, check_finite=False)
-        except LinAlgError:
+            factor = cho_factor(k.T, lower=True)
+        except np.linalg.LinAlgError:
             attempted.append(jitter)
             jitter = base if jitter == 0.0 else 10.0 * jitter
             continue
-        alpha = cho_solve(factor, y, check_finite=False)
-        resid = y - a @ alpha
+        alpha = cho_solve(factor, y)
+        resid = y - k @ alpha
         if np.linalg.norm(resid) > RESIDUAL_RTOL * ynorm:
-            alpha = alpha + cho_solve(factor, resid, check_finite=False)
-            resid = y - a @ alpha
+            alpha = alpha + cho_solve(factor, resid)
+            resid = y - k @ alpha
         if np.linalg.norm(resid) <= RESIDUAL_RTOL * max(ynorm, np.finfo(float).tiny):
             return alpha
         attempted.append(jitter)

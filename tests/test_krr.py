@@ -1,8 +1,12 @@
+import ctypes
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from dncbands import krr
+from dncbands import _blas, krr
 from dncbands.kernels import KernelSpec, gram_matrix
 from dncbands.krr import (
     FitNumericalError,
@@ -210,3 +214,69 @@ def test_factoring_the_transpose_keeps_every_bit(monkeypatch):
             want = fit(sample, kernel, rho).dual_weights
         assert (seen["failures"], seen["solves"]) == path
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 300, 1024])
+def test_gil_free_cholesky_matches_scipy_bit_for_bit(n):
+    sample = random_sample(n, seed=n)
+    a = gram_matrix(KernelSpec(), sample.covariates)
+    a.flat[:: n + 1] += n * 1e-3
+    rhs = (sample.responses, np.column_stack([sample.responses, np.cos(sample.responses)]))
+    with _blas.one_thread():
+        got = krr.cho_factor(a.T, lower=True)
+        want = cho_factor(a.T, lower=True)
+        solutions = [(krr.cho_solve(got, b), cho_solve(want, b)) for b in rhs]
+    assert got[1] is want[1] is True
+    assert np.array_equal(got[0], want[0])
+    for got_x, want_x in solutions:
+        assert np.array_equal(got_x, want_x)
+
+
+def test_gil_free_cholesky_rejects_an_indefinite_matrix_and_bad_shapes():
+    with pytest.raises(LinAlgError):
+        krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True)
+    # LAPACK would read past a buffer shorter than the shapes it is told
+    for a in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
+        with pytest.raises(ValueError):
+            krr.cho_factor(a, lower=True)
+    factor = krr.cho_factor(2.0 * np.eye(3), lower=True)
+    for b in (np.ones(2), np.ones((4, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            krr.cho_solve(factor, b)
+
+
+def test_lapack_calls_release_the_gil():
+    # ctypes holds the GIL only around functions of a handle with this flag
+    lib = _blas._library(_blas._SCIPY_LAPACK)
+    assert isinstance(lib, ctypes.CDLL)
+    assert not lib._func_flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for fn in (_blas._potrf(), _blas._potrs()):
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_concurrent_lapack_calls_match_serial_ones():
+    # more workers than cores, switching often: the calls run outside the
+    # GIL, so they must not share any buffer or state between threads
+    systems = []
+    for seed in range(8):
+        sample = random_sample(96, seed=seed)
+        a = gram_matrix(KernelSpec(), sample.covariates)
+        a.flat[:: 96 + 1] += 0.1
+        systems.append((a, sample.responses))
+
+    def solve(system):
+        a, y = system
+        return krr.cho_solve(krr.cho_factor(a.T, lower=True), y)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _blas.one_thread():
+            serial = [solve(s) for s in systems]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rounds = [pool.submit(lambda: [solve(s) for s in systems]) for _ in range(16)]
+                results = [r.result(timeout=60) for r in rounds]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, w) for g, w in zip(got, serial))
