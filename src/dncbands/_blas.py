@@ -1,5 +1,5 @@
-"""The bundled BLAS libraries: one thread while partition fits run, and a
-Cholesky factor and solve that release the GIL.
+"""The bundled BLAS libraries: one thread while the package's tasks run,
+and a Cholesky factor and solve that release the GIL.
 
 The numpy and scipy wheels each bundle an OpenBLAS that starts one thread
 per CPU: numpy's copy runs matmul, scipy's runs LAPACK.  The package's
@@ -10,10 +10,11 @@ which would make fits depend on the thread count and the machine's core
 count.
 
 ``one_thread()`` sets both copies to one thread and restores the caller's
-counts when the outermost entry leaves.  OpenBLAS keeps the count
-process-wide, so entries from several threads share one depth count under
-a lock; a worker that restored on its own exit would unpin its siblings.
-A copy that does not export both symbols is left alone.
+counts when the outermost entry leaves; ``dnc.ordered_map`` enters it
+around every partition fit, coverage trial and rate replicate.  OpenBLAS
+keeps the count process-wide, so entries from several threads share one
+depth count under a lock; a worker that restored on its own exit would
+unpin its siblings.  A copy that does not export both symbols is left alone.
 
 ``cho_factor`` and ``cho_solve`` keep the contract of their
 ``scipy.linalg`` namesakes but call ``dpotrf``/``dpotrs`` of scipy's copy

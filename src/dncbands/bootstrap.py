@@ -18,6 +18,7 @@ import numpy as np
 
 from .dnc import LocalPredictionMatrix
 
+SCHEMES = ("empirical", "multiplier")
 MULTIPLIER_DISTRIBUTIONS = ("gaussian", "poisson")
 
 
@@ -81,3 +82,11 @@ def multiplier_draws(
         w = rng.poisson(1.0, size=size).astype(np.float64)
     return BootstrapDraws(_weighted_deltas(matrix.values, matrix.row_mean, w))
 
+
+def draw(matrix, n_replicates: int, seed, scheme: str, multiplier: str) -> BootstrapDraws:
+    """Draws of ``scheme``; ``multiplier`` is the multiplier scheme's distribution."""
+    if scheme == "empirical":
+        return empirical_draws(matrix, n_replicates, seed)
+    if scheme == "multiplier":
+        return multiplier_draws(matrix, n_replicates, seed, multiplier)
+    raise ValueError(f"bootstrap scheme must be one of {SCHEMES}, got {scheme!r}")

@@ -154,12 +154,9 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
             f"{RESOLUTION_GUARD / cfg.alpha:.0f} for alpha={cfg.alpha}"
         )
     matrix, points, s_boot = _fit_pipeline(cfg, data_path)
-    if cfg.bootstrap_scheme == "empirical":
-        draws = bootstrap_mod.empirical_draws(matrix, cfg.bootstrap_replicates, s_boot)
-    else:
-        draws = bootstrap_mod.multiplier_draws(
-            matrix, cfg.bootstrap_replicates, s_boot, cfg.bootstrap_multiplier
-        )
+    draws = bootstrap_mod.draw(
+        matrix, cfg.bootstrap_replicates, s_boot, cfg.bootstrap_scheme, cfg.bootstrap_multiplier
+    )
     calibrated = bands_mod.calibrate(draws, cfg.alpha)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "bands.csv")
@@ -303,9 +300,7 @@ DATA_COMMANDS = ("fit", "bands")  # the commands that take --data
 FLAGS = {
     "--out": ("output.dir", str, "output directory (overrides config and env)"),
     "--seed": ("seed", int, "master seed override"),
-    "--threads": (
-        "threads", int, "thread budget: worker threads; BLAS runs one thread inside fits",
-    ),
+    "--threads": ("threads", int, "thread budget: worker threads; BLAS runs one thread"),
     "--alpha": ("alpha", float, "band miscoverage level override"),
     "--partitions": ("partitions", int, "partition count override"),
     "--prediction-count": ("prediction.count", int, "prediction set size override"),

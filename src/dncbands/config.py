@@ -22,7 +22,7 @@ import hashlib
 import typing
 from dataclasses import dataclass, replace
 
-from .bootstrap import MULTIPLIER_DISTRIBUTIONS
+from .bootstrap import MULTIPLIER_DISTRIBUTIONS, SCHEMES
 from .kernels import KernelSpec
 from .simulation import DgpSpec
 
@@ -164,8 +164,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"alpha must lie inside (0, 1), got {cfg.alpha}")
     if cfg.bootstrap_replicates < 1:
         raise ConfigError(f"bootstrap.replicates must be positive, got {cfg.bootstrap_replicates}")
-    if cfg.bootstrap_scheme not in ("empirical", "multiplier"):
-        raise ConfigError(f"bootstrap.scheme must be empirical or multiplier, got {cfg.bootstrap_scheme!r}")
+    if cfg.bootstrap_scheme not in SCHEMES:
+        raise ConfigError(f"bootstrap.scheme must be one of {SCHEMES}, got {cfg.bootstrap_scheme!r}")
     if cfg.bootstrap_multiplier not in MULTIPLIER_DISTRIBUTIONS:
         raise ConfigError(
             f"bootstrap.multiplier must be one of {MULTIPLIER_DISTRIBUTIONS}, got {cfg.bootstrap_multiplier!r}"

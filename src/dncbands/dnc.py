@@ -93,6 +93,21 @@ class LocalPredictionMatrix:
         return self.values.shape[1]
 
 
+def ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on min(threads, len(items)) workers, in order.
+
+    The package's one worker pool, serial when that is one worker.  BLAS
+    runs one thread on both paths (see ``_blas``), so a task rounds the
+    same whichever path runs it.
+    """
+    with _blas.one_thread():
+        workers = min(threads, len(items))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, items))
+        return [fn(x) for x in items]
+
+
 def fit_all_partitions(
     sample: krr.Sample,
     plan: PartitionPlan,
@@ -103,13 +118,12 @@ def fit_all_partitions(
 ) -> LocalPredictionMatrix:
     """Fit the base learner on every partition, evaluate at the points.
 
-    Row p of the result is predict(fit(subsample p), points).  The output
-    is identical for any thread count and core count: partition subsets
-    are read-only, rows come back in partition order, the mean reduces in
-    order, and BLAS runs one thread on the serial and pooled paths alike
-    (a threaded Cholesky rounds differently from one thread).  The pooled
-    fits overlap in their BLAS work and in their Choleskys, whose LAPACK
-    calls drop the GIL.  A failure raises the lowest failing partition's
+    Row p of the result is predict(fit(subsample p), points).  The fits
+    run through ``ordered_map``, so the output is identical for any thread
+    count and core count: partition subsets are read-only, rows come back
+    in partition order and the mean reduces in order.  The pooled fits
+    overlap in their BLAS work and in their Choleskys, whose LAPACK calls
+    drop the GIL.  A failure raises the lowest failing partition's
     PartitionFitError.
     """
     if plan.total != sample.size:
@@ -125,10 +139,5 @@ def fit_all_partitions(
         except Exception as exc:  # tagged with the partition id
             raise PartitionFitError(p, exc) from exc
 
-    with _blas.one_thread():
-        if threads > 1 and plan.count > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, plan.count)) as pool:
-                rows = list(pool.map(run_one, range(plan.count)))
-        else:
-            rows = [run_one(p) for p in range(plan.count)]
+    rows = ordered_map(run_one, range(plan.count), threads)
     return LocalPredictionMatrix.from_values(np.array(rows))

@@ -10,14 +10,14 @@ deliberately and flagged in the README).
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused: perfbench rebinds it (ROADMAP item 1)
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
 
-from . import _blas
 from . import bands as bands_mod
 from . import bootstrap as bootstrap_mod
 from . import dnc, krr
@@ -87,16 +87,6 @@ def generate_trial(dgp: DgpSpec, n_points: int, seed):
     return krr.Sample(x, y), x_tilde, truth
 
 
-def _ordered_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on a pool of ``threads`` workers when threads > 1."""
-    if threads > 1:
-        # looked up at call time: the benchmark tracer rebinds
-        # simulation.ThreadPoolExecutor by name
-        with _blas.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _trial_matrix(dgp, n_points, n_partitions, kernel, rho, trial_seed):
     """Draw one trial and fit it: (local matrix, truth, bootstrap seed).
 
@@ -120,10 +110,7 @@ def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates,
     matrix, truth, s_boot = _trial_matrix(
         dgp, max(points), n_partitions, kernel, rho, trial_seed
     )
-    if scheme == "empirical":
-        draws = bootstrap_mod.empirical_draws(matrix, n_replicates, s_boot)
-    else:
-        draws = bootstrap_mod.multiplier_draws(matrix, n_replicates, s_boot, multiplier)
+    draws = bootstrap_mod.draw(matrix, n_replicates, s_boot, scheme, multiplier)
     calibrated = bands_mod.calibrate_prefixes(draws, alpha, points)
     return tuple(
         bands_mod.covers(bands_mod.band_intervals(cal, matrix.row_mean[:t]), truth[:t])
@@ -156,20 +143,18 @@ def run_coverage_row(
     intervals.  The T cells therefore share their trials (paired).
     """
     if dgp.n % n_partitions != 0:
-        raise ValueError(
-            f"P does not divide N (P={n_partitions}, N={dgp.n})"
-        )
+        raise ValueError(f"P does not divide N (P={n_partitions}, N={dgp.n})")
+    if len(points) == 0:
+        raise ValueError("points must hold at least one prediction set size")
+    if scheme not in bootstrap_mod.SCHEMES:
+        raise ValueError(f"bootstrap scheme must be one of {bootstrap_mod.SCHEMES}, got {scheme!r}")
     if trials == 0:
         return (0,) * len(points), 0
     rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
-
-    def one(ts):
-        return _band_trial(
-            dgp, points, n_partitions, kernel, rho, alpha,
-            n_replicates, scheme, multiplier, ts,
-        )
-
-    flags = _ordered_map(one, _as_seedseq(seed).spawn(trials), threads)
+    one = functools.partial(
+        _band_trial, dgp, points, n_partitions, kernel, rho, alpha, n_replicates, scheme, multiplier
+    )
+    flags = dnc.ordered_map(one, _as_seedseq(seed).spawn(trials), threads)
     return tuple(int(sum(col)) for col in zip(*flags)), trials
 
 
@@ -318,6 +303,8 @@ def rate_study(
     points on [0, 1]; the returned slope is the least-squares fit of
     log(median sup error squared) against log N, nan for a single N.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     grid = np.linspace(0.0, 1.0, RATE_GRID_SIZE).reshape(-1, 1)
     sizes = list(sizes)
     size_seeds = _as_seedseq(seed).spawn(len(sizes))
@@ -327,9 +314,7 @@ def rate_study(
     for n_total, s_n in zip(sizes, size_seeds):
         n_partitions = power_of_two_sqrt(n_total)
         if n_total % n_partitions != 0:
-            raise ValueError(
-                f"partition rule gave P={n_partitions} for N={n_total}, not a divisor"
-            )
+            raise ValueError(f"partition rule gave P={n_partitions} for N={n_total}, not a divisor")
         p_used.append(n_partitions)
         dgp = DgpSpec(n_total, true_function, table)
         truth = dgp.f_star(grid[:, 0])
@@ -343,7 +328,7 @@ def rate_study(
             f_bar = dnc.fit_all_partitions(sample, plan, kernel, rho, grid).row_mean
             return float(np.max(np.abs(f_bar - truth)))
 
-        errs = _ordered_map(one, rep_seeds, threads)
+        errs = dnc.ordered_map(one, rep_seeds, threads)
         medians.append(float(np.median(errs)))
 
     if len(sizes) < 2:

@@ -4,10 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from dncbands import _blas, dnc
+from dncbands import _blas, bootstrap, dnc
 from dncbands.dnc import PartitionFitError, fit_all_partitions, make_partition_plan
 from dncbands.kernels import KernelSpec
 from dncbands.krr import Sample
+from dncbands.simulation import DgpSpec, run_coverage_row
 
 CALLER_THREADS = 3  # differs from the pinned 1 on any machine
 
@@ -64,6 +65,36 @@ def test_failed_fit_restores_the_callers_count(controls, monkeypatch, threads):
     monkeypatch.setattr(dnc.krr, "fit", failing_fit)
     with pytest.raises(PartitionFitError):
         fit_all_partitions(*small_fit_args(), threads=threads)
+    assert counts(controls) == [CALLER_THREADS] * len(controls)
+
+
+def small_row(threads):
+    return run_coverage_row(DgpSpec(16), 4, (2, 3), 0.1, 50, 3, seed=2, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_coverage_draws_run_on_one_blas_thread(controls, monkeypatch, threads):
+    seen = []
+    real_draws = bootstrap.empirical_draws
+
+    def recording_draws(matrix, n_replicates, seed):
+        seen.append(counts(controls))
+        return real_draws(matrix, n_replicates, seed)
+
+    monkeypatch.setattr(bootstrap, "empirical_draws", recording_draws)
+    small_row(threads)
+    assert seen == [[1] * len(controls)] * 3
+    assert counts(controls) == [CALLER_THREADS] * len(controls)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_trial_restores_the_callers_count(controls, monkeypatch, threads):
+    def failing_draws(matrix, n_replicates, seed):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(bootstrap, "empirical_draws", failing_draws)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        small_row(threads)
     assert counts(controls) == [CALLER_THREADS] * len(controls)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dncbands import kernels
-from dncbands.bootstrap import empirical_draws, multiplier_draws, resample_deltas
+from dncbands.bootstrap import draw, empirical_draws, multiplier_draws, resample_deltas
 from dncbands.dnc import LocalPredictionMatrix
 
 
@@ -187,3 +187,16 @@ def test_replicate_count_validation():
         empirical_draws(matrix, 0, seed=0)
     with pytest.raises(ValueError):
         multiplier_draws(matrix, 10, seed=0, dist="rademacher")
+
+
+def test_draw_dispatches_to_the_scheme_bit_for_bit():
+    matrix = matrix_from(np.random.default_rng(18).normal(size=(6, 5)))
+    dispatched = [
+        draw(matrix, 300, 19, "empirical", "poisson"),
+        draw(matrix, 300, 19, "multiplier", "gaussian"),
+        draw(matrix, 300, 19, "multiplier", "poisson"),
+    ]
+    for got, want in zip(dispatched, draw_all_schemes(matrix, 300, 19)):
+        assert np.array_equal(got.deltas, want)
+    with pytest.raises(ValueError, match="scheme"):
+        draw(matrix, 300, 19, "emprical", "gaussian")

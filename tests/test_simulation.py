@@ -21,6 +21,7 @@ from dncbands.simulation import (
     rate_study,
     run_coverage_cell,
     run_coverage_grid,
+    run_coverage_row,
 )
 
 DESK_N = 2**12
@@ -101,6 +102,26 @@ def test_run_coverage_cell_zero_trials():
 def test_run_coverage_cell_divisibility_checked_first():
     with pytest.raises(ValueError, match="P does not divide N"):
         run_coverage_cell(DgpSpec(100), 64, 2, 0.05, 100, 5, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("run", [
+    lambda **kw: run_coverage_row(DgpSpec(64), 4, (2,), 0.1, 50, seed=0, **kw),
+    lambda **kw: run_coverage_cell(DgpSpec(64), 4, 2, 0.1, 50, seed=0, **kw),
+    lambda **kw: run_coverage_grid(DgpSpec(64), (4,), (2,), 0.1, 50, master_seed=0, **kw),
+], ids=["row", "cell", "grid"])
+def test_unknown_scheme_is_rejected_before_any_fit(monkeypatch, run, trials):
+    def boom(*args, **kwargs):
+        raise AssertionError("no trial may be fitted")
+
+    monkeypatch.setattr(dnc, "fit_all_partitions", boom)
+    with pytest.raises(ValueError, match="scheme"):
+        run(trials=trials, scheme="emprical")
+
+
+def test_coverage_row_rejects_empty_points():
+    with pytest.raises(ValueError, match="points"):
+        run_coverage_row(DgpSpec(64), 4, (), 0.1, 50, 2, seed=0)
 
 
 def test_zero_noise_bands_have_positive_width():
@@ -218,6 +239,19 @@ def test_rate_study_small_run_structure():
     single = rate_study([256], 0.5, reps=2, seed=6, kernel=KernelSpec(lengthscale=0.2))
     assert single.partition_counts == [16]
     assert np.isnan(single.slope)
+
+
+def test_rate_study_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps"):
+        rate_study([256], 0.5, reps=0, seed=6)
+
+
+def test_rate_study_thread_invariant():
+    kwargs = dict(r_prime=0.5, reps=3, seed=8, kernel=KernelSpec(lengthscale=0.2))
+    serial = rate_study([256, 512], **kwargs)
+    pooled = rate_study([256, 512], threads=3, **kwargs)
+    assert serial.median_sup_errors == pooled.median_sup_errors
+    assert serial.slope == pooled.slope
 
 
 def test_coverage_grid_rejects_bad_cells():
