@@ -31,6 +31,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import importlib.machinery
+import os
 import threading
 from contextlib import contextmanager
 
@@ -54,7 +56,16 @@ def _library(module: str) -> ctypes.CDLL:
 
     dlsym on it also searches the libraries the module links.  A
     ``CDLL`` (not ``PyDLL``) function releases the GIL while it runs.
+    The file is found next to its top-level package without importing
+    the module: importing ``scipy.linalg._flapack`` loads ``scipy.linalg``
+    and scipy's array-API layer, several tenths of a second of start-up.
+    The module is imported only when no such file exists.
     """
+    top, *rest = module.split(".")
+    stem = os.path.join(os.path.dirname(importlib.import_module(top).__file__), *rest)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return ctypes.CDLL(stem + suffix)
     return ctypes.CDLL(importlib.import_module(module).__file__)
 
 

@@ -43,12 +43,14 @@ def _weighted_deltas(values: np.ndarray, row_mean: np.ndarray, weights: np.ndarr
 def resample_deltas(values: np.ndarray, row_mean: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Centered resample averages for given row-index draws.
 
-    idx has one row of P indices per replicate; each row becomes the
-    count of every index in it, the replicate's weight vector.
+    idx has one row of P indices in [0, P) per replicate; each row
+    becomes the count of every index in it, the replicate's weight vector.
     """
     b, p = idx.shape
-    counts = np.zeros((b, p))
-    np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
+    if idx.size and not (0 <= idx.min() and idx.max() < p):
+        raise ValueError(f"resample indices must lie in [0, {p})")
+    cells = (np.arange(b)[:, None] * p + idx).ravel()  # replicate row, then index
+    counts = np.bincount(cells, minlength=b * p).reshape(b, p).astype(np.float64)
     return _weighted_deltas(values, row_mean, counts)
 
 

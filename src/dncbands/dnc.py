@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, krr
-from .kernels import KernelSpec
+from . import _blas, kernels, krr
+from .kernels import KernelSpec, _as_points
 
 
 class PartitionFitError(RuntimeError):
@@ -118,26 +118,42 @@ def fit_all_partitions(
 ) -> LocalPredictionMatrix:
     """Fit the base learner on every partition, evaluate at the points.
 
-    Row p of the result is predict(fit(subsample p), points).  The fits
-    run through ``ordered_map``, so the output is identical for any thread
-    count and core count: partition subsets are read-only, rows come back
-    in partition order and the mean reduces in order.  The pooled fits
-    overlap in their BLAS work and in their Choleskys, whose LAPACK calls
-    drop the GIL.  A failure raises the lowest failing partition's
-    PartitionFitError.
+    Row p of the result is predict(fit(subsample p), points), bit for bit.
+    Partitions go to ``ordered_map`` in groups of as many n x n Grams as
+    fit in one kernel block (``kernels.ROW_BLOCK_ENTRIES`` entries, at
+    least one partition), so a group's kernel matrices cost one round of
+    short GIL-holding ufunc calls instead of one per partition.  A group
+    evaluates its stacked Grams, runs one ``krr.fit`` per partition on
+    them and drops them before it evaluates its stacked cross matrices;
+    each row is the gemv of ``krr.predict``.  The output is identical for
+    any thread count and core count: rows come back in partition order
+    and the mean reduces in order.  The pooled fits overlap in their BLAS
+    work and in their Choleskys, whose LAPACK calls drop the GIL.  A
+    failure raises the lowest failing partition's PartitionFitError.
     """
     if plan.total != sample.size:
         raise ValueError(
             f"plan is for N={plan.total} but the sample has {sample.size} rows"
         )
-    parts = plan.indices()
-    pts = np.asarray(points, dtype=np.float64)
+    count, n = plan.count, plan.total // plan.count
+    order = np.concatenate(plan.indices())
+    xs = sample.covariates[order].reshape(count, n, -1)
+    ys = sample.responses[order].reshape(count, n)
+    pts = _as_points(points)
+    group = max(1, kernels.ROW_BLOCK_ENTRIES // (n * n))
 
-    def run_one(p):
-        try:
-            return krr.predict(krr.fit(sample.subset(parts[p]), kernel, rho), pts)
-        except Exception as exc:  # tagged with the partition id
-            raise PartitionFitError(p, exc) from exc
+    def run_group(lo):
+        stack = xs[lo : lo + group]
+        grams = krr.gram_matrix(kernel, stack)
+        fits = []
+        for p in range(lo, lo + len(stack)):
+            try:
+                fits.append(krr.fit(krr.Sample(xs[p], ys[p]), kernel, rho, gram=grams[p - lo]))
+            except Exception as exc:  # tagged with the partition id
+                raise PartitionFitError(p, exc) from exc
+        del grams  # so a worker never holds a Gram and a cross block at once
+        cross = krr.cross_matrix(kernel, pts, stack)
+        return [kx @ f.dual_weights for kx, f in zip(cross, fits)]
 
-    rows = ordered_map(run_one, range(plan.count), threads)
-    return LocalPredictionMatrix.from_values(np.array(rows))
+    groups = ordered_map(run_group, range(0, count, group), threads)
+    return LocalPredictionMatrix.from_values(np.array([row for rows in groups for row in rows]))

@@ -7,21 +7,26 @@ it has a closed form
 
 with p a polynomial of degree nu - 1/2, so no Bessel-function
 evaluation is ever needed.  The kernel is only evaluated as a matrix:
-``cross_matrix`` and ``gram_matrix`` apply the closed form to a buffer
-of pairwise distances in place, one block of rows at a time.  A block
-holds about ``ROW_BLOCK_ENTRIES`` = 2^16 entries: its distance buffer is
-512 KB, so with the closed form's one scratch buffer and its output
-block it stays in a core's L2 cache, and the dozen elementwise passes
-of the closed form no longer stream (n, m) buffers through memory.
-Smaller blocks cost more than they save when two threads fit
-partitions at once: each block is another round of short ufunc calls
-that hold the GIL.  Each block is written straight into the
-preallocated result, so a shape that fits in one block costs no more
-buffers than an unblocked evaluation.  ``gram_matrix`` evaluates
-each block only up to its last column, mirrors the strictly lower
-triangle and then sets the diagonal.  Every entry goes through the same
-elementwise steps in the same order at any block size, so the values do
-not depend on it bit for bit.  In dimension d its eigenvalues decay
+``cross_matrix`` and ``gram_matrix`` take one (n, d) point set or a
+stack of g sets, (g, n, d), and apply the closed form to a buffer of
+pairwise distances in place, one block at a time.  A block holds at
+most ``ROW_BLOCK_ENTRIES`` = 2^16 entries: either the whole matrices of
+as many sets of the stack as fit, or, when one matrix does not fit,
+rows of one set.  Its distance buffer is 512 KB, so with the closed
+form's one scratch buffer and its output block it stays in a core's L2
+cache, and the dozen elementwise passes of the closed form no longer
+stream (n, m) buffers through memory.  The calling thread keeps the
+distance buffer from block to block.  Smaller blocks cost more than
+they save when two threads fit partitions at once: each block is
+another round of short ufunc calls that hold the GIL.  For the same
+reason small sets share blocks, so the partitions of a
+divide-and-conquer fit pay one round of calls per block, not one per
+partition.  Each block is written straight into the preallocated
+result.  ``gram_matrix`` evaluates a block of rows only up to its last
+row's column and mirrors the strictly lower triangle, then sets the
+diagonal.  Every entry goes through the same elementwise steps in the
+same order at any block size and stack size, so the values depend on
+neither, bit for bit.  In dimension d its eigenvalues decay
 polynomially with exponent b = 2 nu + d (``KernelSpec.decay_exponent``);
 the spectral model pins them to mu_j = j^(-b) exactly, which makes
 every diagnostic reproducible.
@@ -29,6 +34,8 @@ every diagnostic reproducible.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,14 +69,17 @@ class KernelSpec:
 
 
 def _as_points(x) -> np.ndarray:
-    """Coerce scalars / 1d / 2d input to an (n, d) float array."""
+    """Coerce scalars / 1d / 2d input to an (n, d) float array.
+
+    A 3d input is a stack of g point sets, (g, n, d), and is kept as it is.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
         a = a.reshape(-1, 1)
-    elif a.ndim != 2:
-        raise ValueError(f"points must be at most 2-dimensional, got shape {a.shape}")
+    elif a.ndim > 3:
+        raise ValueError(f"points must be at most 3-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite covariate values")
     return a
@@ -107,49 +117,91 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -
     poly *= u
 
 
+_kept = threading.local()
+
+
+def _distance_buffer(shape) -> np.ndarray:
+    """A contiguous buffer of ``shape`` for a block's distances.
+
+    The calling thread keeps it from block to block: a fresh 512 KB
+    buffer goes back to the system when it is freed and is faulted in
+    again by the next block, a few hundred page faults a block.  The
+    closed form's other buffer is left to the allocator, where each
+    fit's Cholesky copy can reuse its memory: kept too, it made a serial
+    desk trial of 256-row partitions about 15% slower on a 2-CPU VM.
+    """
+    size = math.prod(shape)
+    buf = getattr(_kept, "distances", None)
+    if buf is None or buf.size < size:
+        buf = _kept.distances = np.empty(max(size, ROW_BLOCK_ENTRIES))
+    return buf[:size].reshape(shape)
+
+
 def _kernel_rows(spec: KernelSpec, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """k(a_i, b_j) for one block of rows a, into out."""
+    """k(a_i, b_j) for one block: rows a (g, m, d) against b (g, n, d), into out."""
     # squared distances, summed in coordinate order into one contiguous buffer
-    r = np.subtract.outer(a[:, 0], b[:, 0])
+    r = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=_distance_buffer(out.shape))
     r *= r
-    for j in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, j], b[:, j])
+    for j in range(1, a.shape[-1]):
+        diff = np.subtract(a[..., :, None, j], b[..., None, :, j])
         diff *= diff
         r += diff
     np.sqrt(r, out=r)
     _matern_profile_inplace(spec, r, out)
 
 
-def _block_rows(m: int) -> int:
-    """Rows per block when each row has m entries."""
-    return max(1, ROW_BLOCK_ENTRIES // max(m, 1))
+def _blocks(g: int, m: int, n: int):
+    """(sets, first row, stop row) of each block of a (g, m, n) stack.
+
+    A block holds the whole (m, n) matrices of as many sets as fit in
+    ``ROW_BLOCK_ENTRIES`` entries or, when one matrix does not fit, rows
+    of one set.
+    """
+    if m * n <= ROW_BLOCK_ENTRIES:
+        step = ROW_BLOCK_ENTRIES // max(m * n, 1)
+        for lo in range(0, g, step):
+            yield slice(lo, lo + step), 0, m
+    else:
+        rows = max(1, ROW_BLOCK_ENTRIES // n)
+        for p in range(g):
+            for start in range(0, m, rows):
+                yield slice(p, p + 1), start, min(start + rows, m)
 
 
 def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:
-    """Rectangular kernel matrix k(a_i, b_j) for two point sets."""
+    """Rectangular kernel matrix k(a_i, b_j) for two point sets.
+
+    Either set may be a (g, n, d) stack; the result is then the (g, m, n)
+    stack of the matrices of corresponding sets.
+    """
     a = _as_points(points_a)
     b = _as_points(points_b)
-    if a.shape[1] != b.shape[1]:
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("point sets live in different dimensions")
-    n, rows = a.shape[0], _block_rows(b.shape[0])
-    k = np.empty((n, b.shape[0]))
-    for start in range(0, n, rows):
-        _kernel_rows(spec, a[start : start + rows], b, k[start : start + rows])
-    return k
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) or (1,)
+    a3 = np.broadcast_to(a, stack + a.shape[-2:])
+    b3 = np.broadcast_to(b, stack + b.shape[-2:])
+    k = np.empty(stack + (a.shape[-2], b.shape[-2]))
+    for sets, start, stop in _blocks(*k.shape):
+        _kernel_rows(spec, a3[sets, start:stop], b3[sets], k[sets, start:stop])
+    return k if a.ndim == 3 or b.ndim == 3 else k[0]
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric Gram matrix of a point set; diagonal equals output_scale."""
+    """Symmetric Gram matrix of a point set; diagonal equals output_scale.
+
+    A (g, n, d) stack of point sets gives the (g, n, n) stack of their Grams.
+    """
     a = _as_points(points)
-    n, rows = a.shape[0], _block_rows(a.shape[0])
-    k = np.empty((n, n))
-    for start in range(0, n, rows):  # each block of rows up to its last column
-        stop = min(start + rows, n)
-        _kernel_rows(spec, a[start:stop], a[:stop], k[start:stop, :stop])
-        k[:start, start:stop] = k[start:stop, :start].T  # mirror, still in cache
+    a3 = a if a.ndim == 3 else a[None]
+    g, n = a3.shape[:2]
+    k = np.empty((g, n, n))
+    for sets, start, stop in _blocks(g, n, n):  # each block of rows up to its last column
+        _kernel_rows(spec, a3[sets, start:stop], a3[sets, :stop], k[sets, start:stop, :stop])
+        k[sets, :start, start:stop] = k[sets, start:stop, :start].swapaxes(1, 2)  # mirror
     # exactly symmetric: a_i - a_j is -(a_j - a_i) in IEEE arithmetic
-    np.fill_diagonal(k, spec.output_scale)
-    return k
+    k.reshape(g, n * n)[:, :: n + 1] = spec.output_scale
+    return k if a.ndim == 3 else k[0]
 
 
 @dataclass(frozen=True)

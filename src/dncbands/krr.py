@@ -53,10 +53,6 @@ class Sample:
     def size(self) -> int:
         return self.covariates.shape[0]
 
-    def subset(self, indices) -> "Sample":
-        idx = np.asarray(indices)
-        return Sample(self.covariates[idx], self.responses[idx])
-
 
 @dataclass(frozen=True)
 class KrrFit:
@@ -112,11 +108,18 @@ def _solve_regularized(k: np.ndarray, y: np.ndarray, nrho: float) -> np.ndarray:
     raise FitNumericalError("kernel system could not be solved accurately", attempted)
 
 
-def fit(sample: Sample, kernel: KernelSpec, rho: float) -> KrrFit:
-    """Fit kernel ridge regression with penalty rho > 0."""
+def fit(sample: Sample, kernel: KernelSpec, rho: float, gram=None) -> KrrFit:
+    """Fit kernel ridge regression with penalty rho > 0.
+
+    ``gram`` is the Gram matrix of ``sample.covariates`` when the caller
+    has already evaluated it (``dnc.fit_all_partitions`` evaluates a
+    group of partitions' at once); it is overwritten.
+    """
     if not (rho > 0):
         raise ValueError(f"penalty rho must be positive, got {rho}")
-    k = gram_matrix(kernel, sample.covariates)
+    k = gram_matrix(kernel, sample.covariates) if gram is None else gram
+    if k.shape != (sample.size, sample.size):
+        raise ValueError(f"gram has shape {k.shape}, expected n x n with n={sample.size}")
     alpha = _solve_regularized(k, sample.responses, sample.size * rho)
     return KrrFit(kernel, sample.covariates, alpha)
 

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor  # unused: perfbench rebinds i
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import bands as bands_mod
 from . import bootstrap as bootstrap_mod
@@ -181,6 +180,8 @@ def run_coverage_cell(
 
 def coverage_ci99(hits: int, trials: int) -> tuple[float, float]:
     """Exact Clopper-Pearson 99% interval for a binomial proportion."""
+    from scipy.special import betaincinv  # imported here: scipy.special is slow to load
+
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not (0 <= hits <= trials):

@@ -1,9 +1,13 @@
+import importlib
+import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import dncbands
 from dncbands import _blas, bootstrap, dnc
 from dncbands.dnc import PartitionFitError, fit_all_partitions, make_partition_plan
 from dncbands.kernels import KernelSpec
@@ -47,9 +51,9 @@ def test_fits_run_on_one_blas_thread_and_restore_the_callers_count(
     seen = []
     real_fit = dnc.krr.fit
 
-    def recording_fit(sub, kernel, rho):
+    def recording_fit(sub, kernel, rho, gram=None):
         seen.append(counts(controls))
-        return real_fit(sub, kernel, rho)
+        return real_fit(sub, kernel, rho, gram=gram)
 
     monkeypatch.setattr(dnc.krr, "fit", recording_fit)
     fit_all_partitions(*small_fit_args(), threads=threads)
@@ -139,3 +143,33 @@ def test_overlapping_entries_from_many_threads(controls):
     assert len(inside) == 16 * 200
     assert all(c == [1] * len(controls) for c in inside)
     assert counts(controls) == [CALLER_THREADS] * len(controls)
+
+
+def test_scipys_lapack_is_opened_from_the_modules_own_file():
+    # the same file, so the same dpotrf/dpotrs and the same bits
+    lib = _blas._library(_blas._SCIPY_LAPACK)
+    assert os.path.samefile(lib._name, importlib.import_module(_blas._SCIPY_LAPACK).__file__)
+
+
+def test_a_bands_run_loads_neither_scipy_special_nor_scipy_linalg(tmp_path):
+    # both load scipy's array-API layer, several tenths of a second of start-up
+    rng = np.random.default_rng(21)
+    data = tmp_path / "data.csv"
+    x = rng.uniform(size=64)
+    y = np.sin(6 * x) + rng.normal(size=64)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+    data.write_text("x1,y\n" + rows)
+    argv = ["bands", "--data", str(data), "--out", str(tmp_path / "out"),
+            "--partitions", "4", "--prediction-count", "5", "--threads", "2"]
+    script = (
+        "import sys\n"
+        "from dncbands import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(dncbands.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
+    assert (tmp_path / "out" / "bands.csv").is_file()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dncbands import kernels
+from dncbands import bootstrap, kernels
 from dncbands.bootstrap import draw, empirical_draws, multiplier_draws, resample_deltas
 from dncbands.dnc import LocalPredictionMatrix
 
@@ -68,6 +68,36 @@ def enumerate_all_resamples(values):
     p = matrix.partitions
     idx = np.array(list(itertools.product(range(p), repeat=p)), dtype=np.int64)
     return matrix, resample_deltas(matrix.values, matrix.row_mean, idx)
+
+
+def test_resample_counts_and_deltas_match_the_scatter_add_form(monkeypatch):
+    # the weight rows were built with np.add.at; the counts must stay equal
+    # so that W, and with it every delta, keeps its bits
+    seen = []
+    real = bootstrap._weighted_deltas
+
+    def recording(values, row_mean, weights):
+        seen.append(weights)
+        return real(values, row_mean, weights)
+
+    monkeypatch.setattr(bootstrap, "_weighted_deltas", recording)
+    rng = np.random.default_rng(20)
+    for b, p in ((1, 1), (9, 1), (1, 5), (6, 3), (1000, 64), (17, 257)):
+        matrix = matrix_from(rng.normal(size=(p, 4)))
+        idx = rng.integers(0, p, size=(b, p))
+        counts = np.zeros((b, p))
+        np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
+        got = resample_deltas(matrix.values, matrix.row_mean, idx)
+        assert seen[-1].dtype == counts.dtype and seen[-1].tobytes() == counts.tobytes()
+        want = real(matrix.values, matrix.row_mean, counts)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_resample_indices_out_of_range_are_rejected():
+    matrix = matrix_from(np.arange(6.0).reshape(3, 2))
+    for bad in ([[0, 1, 3]], [[-1, 0, 0]]):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            resample_deltas(matrix.values, matrix.row_mean, np.array(bad))
 
 
 def test_exhaustive_conditional_mean_is_zero():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dncbands import dnc
+from dncbands import _blas, dnc
 from dncbands.dnc import (
     LocalPredictionMatrix,
     PartitionFitError,
@@ -132,6 +132,50 @@ def test_thread_count_does_not_change_bits():
         assert np.array_equal(serial.row_mean, threaded.row_mean)
 
 
+def per_partition_rows(sample, plan, spec, rho, points):
+    """predict(fit(subsample p)) for each partition, one at a time.
+
+    BLAS runs one thread, as in every pooled or serial fit: from n = 256 on
+    a threaded Cholesky rounds differently.
+    """
+    with _blas.one_thread():
+        return np.array([
+            predict(fit(Sample(sample.covariates[idx], sample.responses[idx]), spec, rho), points)
+            for idx in plan.indices()
+        ])
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_grouped_fits_equal_per_partition_fits_bit_for_bit(nu):
+    spec = KernelSpec(nu=nu, lengthscale=0.3, output_scale=1.2)
+    # (n, P, d, T): Grams of several partitions per kernel block, the last
+    # group short (n = 3, 16, 64), one partition per block (256), rows of
+    # one partition (300), two covariates, and cross matrices whose T * n
+    # exceeds one block (64 x 1100, 300 x 300)
+    for n, p, d, t in ((3, 7, 1, 5), (16, 260, 1, 9), (64, 20, 1, 33), (256, 3, 1, 17),
+                       (300, 2, 1, 300), (64, 5, 2, 12), (64, 3, 1, 1100)):
+        rng = np.random.default_rng(n + p + d)
+        x = rng.uniform(0, 1, (n * p, d))
+        sample = Sample(x, np.sin(2 * np.pi * x[:, 0]) + rng.normal(size=n * p))
+        plan = make_partition_plan(n * p, p, seed=n)
+        points = rng.uniform(0, 1, (t, d))
+        want = per_partition_rows(sample, plan, spec, 1e-3, points)
+        for threads in (1, 2):
+            got = fit_all_partitions(sample, plan, spec, 1e-3, points, threads=threads)
+            assert got.values.tobytes() == want.tobytes(), (n, p, d, t, threads)
+
+
+def test_non_finite_points_are_rejected_before_any_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("no partition may be fitted")
+
+    monkeypatch.setattr(dnc.krr, "fit", no_fit)
+    sample = sample_for(8)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_all_partitions(sample, make_partition_plan(8, 2, seed=0), KernelSpec(), 1e-3,
+                           [0.5, np.nan])
+
+
 def test_average_identical_rows():
     v = np.array([0.3, -1.2, 7.0])
     assert np.allclose(average(np.tile(v, (5, 1))), v, rtol=1e-15)
@@ -180,10 +224,10 @@ def test_partition_failure_aborts_with_id(monkeypatch):
             float(sample.covariates[i, 0]): p for p, idx in enumerate(plan.indices()) for i in idx
         }
 
-        def failing_fit(sub, kernel, rho):
+        def failing_fit(sub, kernel, rho, gram=None):
             if owner[float(sub.covariates[0, 0])] in failing:
                 raise RuntimeError("synthetic failure")
-            return real_fit(sub, kernel, rho)
+            return real_fit(sub, kernel, rho, gram=gram)
 
         monkeypatch.setattr(dnc.krr, "fit", failing_fit)
         for threads in (1, 2):
@@ -192,6 +236,35 @@ def test_partition_failure_aborts_with_id(monkeypatch):
                     sample, plan, KernelSpec(), 1e-3, np.linspace(0, 1, 3), threads=threads
                 )
             assert caught.value.partition == 1
+
+
+def test_failure_inside_a_group_reports_its_lowest_partition(monkeypatch):
+    # n = 16: 256 partitions share a kernel block, so 3 and 5 are in one group;
+    # n = 64: groups of 16, so 20 and 37 are in the second and third
+    real_fit = dnc.krr.fit
+    for n, count, failing, lowest in ((16, 8, {5, 3}, 3), (64, 40, {37, 20}, 20)):
+        sample = sample_for(n * count, seed=11)
+        plan = make_partition_plan(n * count, count, seed=2)
+        owner = {
+            float(sample.covariates[i, 0]): p for p, idx in enumerate(plan.indices()) for i in idx
+        }
+        fitted = []
+
+        def failing_fit(sub, kernel, rho, gram=None):
+            p = owner[float(sub.covariates[0, 0])]
+            if p in failing:
+                raise RuntimeError("synthetic failure")
+            fitted.append(p)
+            return real_fit(sub, kernel, rho, gram=gram)
+
+        monkeypatch.setattr(dnc.krr, "fit", failing_fit)
+        for threads in (1, 2):
+            with pytest.raises(PartitionFitError, match=f"partition {lowest}:") as caught:
+                fit_all_partitions(
+                    sample, plan, KernelSpec(), 1e-3, np.linspace(0, 1, 3), threads=threads
+                )
+            assert caught.value.partition == lowest
+            assert set(range(lowest)) <= set(fitted)
 
 
 def test_local_prediction_matrix_shape_validation():

@@ -162,6 +162,41 @@ def test_kernel_matrices_do_not_depend_on_the_row_block(monkeypatch, block):
             assert np.array_equal(cross_matrix(spec, a, b), closed_form_cross(spec, a, b))
 
 
+@pytest.mark.parametrize("block", [1, 3, 700, kernels.ROW_BLOCK_ENTRIES])
+def test_stacked_kernel_matrices_equal_their_slices(monkeypatch, block):
+    # several whole matrices per block, one per block and rows of one
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(9)
+    for nu in HALF_INTEGER_NUS:
+        spec = KernelSpec(nu=nu, lengthscale=0.4, output_scale=0.8)
+        for g, n, m, d in ((5, 16, 9, 1), (3, 1, 4, 2), (2, 270, 300, 1), (4, 7, 1, 3)):
+            a = rng.uniform(-1, 1, (g, n, d))
+            b = rng.uniform(-1, 1, (g, m, d))
+            pts = rng.uniform(-1, 1, (m, d))
+            grams = gram_matrix(spec, a)
+            assert grams.shape == (g, n, n)
+            cross_b = cross_matrix(spec, pts, a)
+            cross_a = cross_matrix(spec, a, pts)
+            pairs = cross_matrix(spec, b, a)
+            assert cross_b.shape == pairs.shape == (g, m, n) and cross_a.shape == (g, n, m)
+            for i in range(g):
+                assert grams[i].tobytes() == gram_matrix(spec, a[i]).tobytes()
+                assert cross_b[i].tobytes() == cross_matrix(spec, pts, a[i]).tobytes()
+                assert cross_a[i].tobytes() == cross_matrix(spec, a[i], pts).tobytes()
+                assert pairs[i].tobytes() == cross_matrix(spec, b[i], a[i]).tobytes()
+                assert np.array_equal(grams[i], closed_form_cross(spec, a[i], a[i]))
+
+
+def test_stacks_must_agree_in_count_and_dimension():
+    spec = KernelSpec()
+    with pytest.raises(ValueError):
+        cross_matrix(spec, np.zeros((2, 3, 1)), np.zeros((3, 3, 1)))
+    with pytest.raises(ValueError):
+        cross_matrix(spec, np.zeros((2, 3, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="at most 3-dimensional"):
+        gram_matrix(spec, np.zeros((1, 2, 3, 1)))
+
+
 def test_effective_dimension_single_eigenvalue():
     model = SpectralModel.polynomial(8.0, 1)  # mu_1 = 1
     assert effective_dimension(model, 1.0) == pytest.approx(0.5, rel=1e-15)

@@ -41,6 +41,17 @@ def test_zero_responses_give_zero_fit():
     assert np.array_equal(predict(fitted, np.linspace(0, 1, 7)), np.zeros(7))
 
 
+def test_a_given_gram_gives_the_fit_bit_for_bit():
+    spec = KernelSpec(nu=2.5, lengthscale=0.4)
+    for n in (1, 5, 40):
+        sample = random_sample(n, seed=n)
+        gram = gram_matrix(spec, sample.covariates)
+        given = fit(sample, spec, 1e-3, gram=gram)
+        assert given.dual_weights.tobytes() == fit(sample, spec, 1e-3).dual_weights.tobytes()
+    with pytest.raises(ValueError, match="gram"):
+        fit(sample, spec, 1e-3, gram=np.eye(n - 1))
+
+
 def test_objective_is_minimized_against_perturbations():
     # direct objective evaluation is the oracle
     sample = random_sample(3, seed=5)
