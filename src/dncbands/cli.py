@@ -28,11 +28,11 @@ from . import bootstrap as bootstrap_mod
 from . import diagnostics as diag_mod
 from . import dnc, krr, simulation
 from .config import (
+    KEYS,
     RESOLUTION_GUARD,
     ConfigError,
     RunConfig,
     config_hash,
-    effective_grid,
     make_config,
     parse_config_text,
 )
@@ -165,11 +165,10 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
 
 
 def cmd_coverage(cfg: RunConfig) -> list:
-    n_total, grid_p, grid_t, trials = effective_grid(cfg)
-    dgp = simulation.DgpSpec(n_total, cfg.dgp_true_function, cfg.dgp_table)
+    dgp = simulation.DgpSpec(cfg.dgp_n, cfg.dgp_true_function, cfg.dgp_table)
     kernel = cfg.kernel_spec()
     report = simulation.run_coverage_grid(
-        dgp, grid_p, grid_t, cfg.alpha, cfg.bootstrap_replicates, trials,
+        dgp, cfg.grid_p, cfg.grid_t, cfg.alpha, cfg.bootstrap_replicates, cfg.grid_trials,
         cfg.seed, kernel=kernel, r_prime=cfg.penalty_r_prime,
         schedule_c=cfg.penalty_c, scheme=cfg.bootstrap_scheme,
         multiplier=cfg.bootstrap_multiplier, threads=cfg.threads,
@@ -179,7 +178,7 @@ def cmd_coverage(cfg: RunConfig) -> list:
     diag_header, diag = [], {}
     if cfg.diagnostics_enabled:
         diag_header = ["variance_proxy", "g_rho_est"]
-        diag = _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t)
+        diag = _cell_diagnostics(cfg, dgp, kernel)
     out = _write_csv(
         cfg, "coverage.csv", header + diag_header,
         [row + diag.get(row[:2], ()) for row in rows], note=" axes=log2(P),log2(T),coverage",
@@ -190,21 +189,21 @@ def cmd_coverage(cfg: RunConfig) -> list:
     return [out]
 
 
-def _cell_diagnostics(cfg, dgp, kernel, grid_p, grid_t) -> dict:
+def _cell_diagnostics(cfg, dgp, kernel) -> dict:
     """(P, T) -> (variance proxy, estimated proxy-to-noise ratio)."""
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
     rho = krr.penalty_schedule(
         dgp.n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
     )
-    row_seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid_p))
+    row_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid_p))
     diag = {}
-    for p, row_seed in zip(grid_p, row_seeds):
+    for p, row_seed in zip(cfg.grid_p, row_seeds):
         s = dgp.n // p
         proxy = diag_mod.variance_proxy(model, s, rho)
         # re-derive the first trial of the row, at max(T), for the empirical floor
         trial_seed = row_seed.spawn(1)[0]
-        matrix, _, _ = simulation._trial_matrix(dgp, max(grid_t), p, kernel, rho, trial_seed)
-        for t in grid_t:
+        matrix, _, _ = simulation._trial_matrix(dgp, max(cfg.grid_t), p, kernel, rho, trial_seed)
+        for t in cfg.grid_t:
             head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
             g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")
             diag[(p, t)] = (proxy, g_est)
@@ -268,7 +267,7 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
 
 
 def cmd_dry_run(cfg: RunConfig) -> list:
-    n_total, grid_p, grid_t, trials = effective_grid(cfg)
+    n_total, grid_p, grid_t, trials = cfg.dgp_n, cfg.grid_p, cfg.grid_t, cfg.grid_trials
     simulation.check_grid(n_total, grid_p, grid_t)
     print(f"config_hash={config_hash(cfg)} master_seed={cfg.seed}")
     print(f"coverage grid: N={n_total}, trials per cell={trials}")
@@ -296,16 +295,15 @@ COMMANDS = {
 }
 DATA_COMMANDS = ("fit", "bands")  # the commands that take --data
 
-# flag -> (config key, type, help); bool flags take no value and set True
+# flag -> (config key, help); the key's RunConfig annotation is the flag's type
 FLAGS = {
-    "--out": ("output.dir", str, "output directory (overrides config and env)"),
-    "--seed": ("seed", int, "master seed override"),
-    "--threads": ("threads", int, "thread budget: worker threads; BLAS runs one thread"),
-    "--alpha": ("alpha", float, "band miscoverage level override"),
-    "--partitions": ("partitions", int, "partition count override"),
-    "--prediction-count": ("prediction.count", int, "prediction set size override"),
-    "--replicates": ("bootstrap.replicates", int, "bootstrap replicate count override"),
-    "--full-scale": ("grid.full_scale", bool, "use the published full grid"),
+    "--out": ("output.dir", "output directory (overrides config and env)"),
+    "--seed": ("seed", "master seed override"),
+    "--threads": ("threads", "thread budget: worker threads; BLAS runs one thread"),
+    "--alpha": ("alpha", "band miscoverage level override"),
+    "--partitions": ("partitions", "partition count override"),
+    "--prediction-count": ("prediction.count", "prediction set size override"),
+    "--replicates": ("bootstrap.replicates", "bootstrap replicate count override"),
 }
 
 
@@ -320,12 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key=value config file")
         if name in DATA_COMMANDS:
             p.add_argument("--data", required=True, help="training data CSV (x1..xd,y)")
-        for flag, (key, kind, text) in FLAGS.items():
-            if kind is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True, help=text)
-            else:
-                metavar = flag[2:].upper().replace("-", "_")
-                p.add_argument(flag, dest=key, type=kind, metavar=metavar, help=text)
+        for flag, (key, text) in FLAGS.items():
+            metavar = flag[2:].upper().replace("-", "_")
+            p.add_argument(flag, dest=key, type=KEYS[key][1], metavar=metavar, help=text)
     return parser
 
 
@@ -337,7 +332,7 @@ def _config_from_args(args) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides.update(parse_config_text(fh.read()))
     flags = vars(args)
-    overrides.update({key: flags[key] for key, _, _ in FLAGS.values() if flags[key] is not None})
+    overrides.update({key: flags[key] for key, _ in FLAGS.values() if flags[key] is not None})
     return make_config(overrides)
 
 

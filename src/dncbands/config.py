@@ -4,10 +4,12 @@ A config file is a plain text file of ``key = value`` lines; ``#``
 starts a comment.  ``RunConfig`` is the only declaration of the keys:
 each dotted key is a field name with its first underscore read as a dot
 (``kernel_output_scale`` -> ``kernel.output_scale``), and the field's
-annotation says how its value is parsed and formatted.  Unknown keys are
-rejected, every value is range-checked against the library
-preconditions before any compute starts, and the whole thing
-round-trips through ``serialize_config``.
+annotation says how its value is parsed and formatted, in a file and on
+the command line.  Unknown keys are rejected, every value is
+range-checked against the library preconditions before any compute
+starts, and the whole thing round-trips through ``serialize_config``.
+The paper's full simulation grid ships in ``demos/`` as an ordinary
+file of these keys.
 
 The config hash identifies the scientific content of a run: it covers
 every key except the execution-only ones (threads, output.dir), so two
@@ -30,11 +32,6 @@ from .simulation import DgpSpec
 class ConfigError(ValueError):
     pass
 
-
-FULL_SCALE_N = 2**16
-FULL_SCALE_P = tuple(2**k for k in range(6, 13))
-FULL_SCALE_T = tuple(2**k for k in range(1, 10))
-FULL_SCALE_TRIALS = 2000
 
 RESOLUTION_GUARD = 20.0  # bands need B >= 20 / alpha
 
@@ -61,7 +58,6 @@ class RunConfig:
     grid_p: tuple[int, ...] = (16, 64)
     grid_t: tuple[int, ...] = (4, 64)
     grid_trials: int = 500
-    grid_full_scale: bool = False
     rate_ns: tuple[int, ...] = (1024, 2048, 4096, 8192, 16384)
     rate_reps: int = 20
     diagnostics_enabled: bool = False
@@ -78,7 +74,7 @@ class RunConfig:
 
 
 # dotted key -> (field name, annotated type), derived from RunConfig
-_KEYS = {
+KEYS = {
     name.replace("_", ".", 1): (name, kind)
     for name, kind in typing.get_type_hints(RunConfig).items()
 }
@@ -137,11 +133,11 @@ def parse_config_text(text: str) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(key, _KEYS[key][1], raw)
+        out[key] = _parse_value(key, KEYS[key][1], raw)
     return out
 
 
@@ -197,9 +193,9 @@ def make_config(raw: dict) -> RunConfig:
     """Build and validate a RunConfig from a dotted-key mapping."""
     kwargs = {}
     for key, value in raw.items():
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        kwargs[_KEYS[key][0]] = value
+        kwargs[KEYS[key][0]] = value
     return validate_config(RunConfig(**kwargs))
 
 
@@ -207,7 +203,7 @@ def _config_lines(cfg: RunConfig, skip=()) -> list:
     """``key = value`` lines for every key not in skip, sorted by key."""
     return [
         f"{key} = {_format_value(kind, getattr(cfg, name))}"
-        for key, (name, kind) in sorted(_KEYS.items())
+        for key, (name, kind) in sorted(KEYS.items())
         if key not in skip
     ]
 
@@ -223,10 +219,3 @@ def config_hash(cfg: RunConfig) -> str:
         cfg = replace(cfg, dgp_table=())  # ignored by every other truth
     text = "\n".join(_config_lines(cfg, skip=EXECUTION_ONLY_KEYS))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-
-def effective_grid(cfg: RunConfig):
-    """(N, grid_p, grid_t, trials) after applying the full-scale switch."""
-    if cfg.grid_full_scale:
-        return FULL_SCALE_N, FULL_SCALE_P, FULL_SCALE_T, FULL_SCALE_TRIALS
-    return cfg.dgp_n, tuple(cfg.grid_p), tuple(cfg.grid_t), cfg.grid_trials

@@ -100,6 +100,8 @@ def ordered_map(fn, items, threads: int) -> list:
     runs one thread on both paths (see ``_blas``), so a task rounds the
     same whichever path runs it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     with _blas.one_thread():
         workers = min(threads, len(items))
         if workers > 1:

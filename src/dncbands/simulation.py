@@ -147,6 +147,12 @@ def run_coverage_row(
         raise ValueError("points must hold at least one prediction set size")
     if scheme not in bootstrap_mod.SCHEMES:
         raise ValueError(f"bootstrap scheme must be one of {bootstrap_mod.SCHEMES}, got {scheme!r}")
+    if multiplier not in bootstrap_mod.MULTIPLIER_DISTRIBUTIONS:
+        # checked whatever the scheme, as validate_config does, before any fit
+        raise ValueError(
+            f"multiplier distribution must be one of {bootstrap_mod.MULTIPLIER_DISTRIBUTIONS}, "
+            f"got {multiplier!r}"
+        )
     if trials == 0:
         return (0,) * len(points), 0
     rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)

@@ -5,16 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dncbands.cli import FLAGS, main, read_csv, read_data_csv
+from dncbands.cli import FLAGS, build_parser, main, read_csv, read_data_csv
 from dncbands.config import (
+    KEYS,
     ConfigError,
     RunConfig,
     config_hash,
-    effective_grid,
     make_config,
     parse_config_text,
     serialize_config,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def write_training_csv(path, n=8, d=1, seed=0):
@@ -36,7 +38,7 @@ def test_config_round_trip_is_identity():
             "alpha": 0.1,
             "grid.p": (8, 16),
             "kernel.lengthscale": 0.2,
-            "grid.full_scale": True,
+            "diagnostics.enabled": True,
             "prediction.path": "",
             "dgp.table": ((0.0, 0.0), (0.25, -1.5), (1.0, 1e-3)),
             "diagnostics.rhos": (0.1, 2.5e-7),
@@ -58,7 +60,6 @@ PUBLIC_KEYS = [
     "diagnostics.enabled",
     "diagnostics.rhos",
     "diagnostics.truncation",
-    "grid.full_scale",
     "grid.p",
     "grid.t",
     "grid.trials",
@@ -83,13 +84,31 @@ def test_config_keys_are_the_documented_set():
     # not silently rename a key
     keys = parse_config_text(serialize_config(RunConfig())).keys()
     assert sorted(keys) == PUBLIC_KEYS
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("kernel.family = matern\n")
+    # removed keys are rejected like any unknown key
+    for line in ("kernel.family = matern\n", "grid.full_scale = true\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line)
 
 
 def test_flags_override_config_keys():
     keys = parse_config_text(serialize_config(RunConfig())).keys()
-    assert {key for key, _, _ in FLAGS.values()} <= set(keys)
+    assert {key for key, _ in FLAGS.values()} <= set(keys)
+
+
+def test_flag_types_are_the_config_key_types():
+    argv = ["coverage"]
+    for flag in FLAGS:
+        argv += [flag, "1"]
+    args = vars(build_parser().parse_args(argv))
+    for flag, (key, _) in FLAGS.items():
+        assert type(args[key]) is KEYS[key][1], flag
+
+
+def test_the_full_scale_switch_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dry-run", "--full-scale"])
+    assert exc.value.code == 2
+    assert "--full-scale" in capsys.readouterr().err
 
 
 def test_readme_config_block_is_the_defaults():
@@ -169,10 +188,14 @@ def test_config_hash_ignores_a_table_the_truth_does_not_read():
 
 
 def test_full_scale_grid_dimensions():
-    n, grid_p, grid_t, trials = effective_grid(make_config({"grid.full_scale": True}))
-    assert n == 2**16
-    assert len(grid_p) == 7 and len(grid_t) == 9
-    assert trials == 2000
+    # the paper's grid: N=2^16, P=2^6..2^12, T=2..2^9, 2000 trials per cell
+    raw = parse_config_text((DEMOS / "full_scale.cfg").read_text(encoding="utf-8"))
+    assert sorted(raw) == ["dgp.n", "grid.p", "grid.t", "grid.trials"]
+    cfg = make_config(raw)
+    assert cfg.dgp_n == 2**16
+    assert cfg.grid_p == tuple(2**k for k in range(6, 13))
+    assert cfg.grid_t == tuple(2**k for k in range(1, 10))
+    assert cfg.grid_trials == 2000
 
 
 def test_read_data_csv_errors(tmp_path):
@@ -403,15 +426,21 @@ def test_cmd_fit_two_dimensional_covariates(tmp_path):
     assert len(lines) == 2 + 4
 
 
-def test_cmd_dry_run_full_scale_counts_cells(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid.full_scale = true\n")
-    assert run_cli(["dry-run", "--config", cfg]) == 0
+def test_cmd_dry_run_full_scale_counts_cells(capsys):
+    assert run_cli(["dry-run", "--config", DEMOS / "full_scale.cfg"]) == 0
     out = capsys.readouterr().out
     assert "cells: 7x9=63" in out
     assert "N=65536" in out
     assert "pipeline runs: 7x2000=14000" in out
     assert "partition fits: 8128x2000=16256000" in out
+    assert "N^((2br'-1)/(2br'+1)) = 5573.8 (b=8, r'=0.5)" in out
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_parse_validate_and_dry_run(path, capsys):
+    make_config(parse_config_text(path.read_text(encoding="utf-8")))
+    assert run_cli(["dry-run", "--config", path]) == 0
+    assert "partition fits:" in capsys.readouterr().out
 
 
 def test_cmd_dry_run_prints_the_partition_bound(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dncbands
-from dncbands import bootstrap, dnc
+from dncbands import bootstrap, dnc, krr
 from dncbands.bands import band_intervals, calibrate, covers
 from dncbands.bootstrap import BootstrapDraws, empirical_draws
 from dncbands.dnc import fit_all_partitions, make_partition_plan
@@ -117,6 +117,40 @@ def test_unknown_scheme_is_rejected_before_any_fit(monkeypatch, run, trials):
     monkeypatch.setattr(dnc, "fit_all_partitions", boom)
     with pytest.raises(ValueError, match="scheme"):
         run(trials=trials, scheme="emprical")
+
+
+@pytest.mark.parametrize("scheme", ["empirical", "multiplier"])
+def test_unknown_multiplier_is_rejected_before_any_fit(monkeypatch, scheme):
+    # the rule validate_config applies: the distribution is checked whatever the scheme
+    calls = []
+    fit_all = dnc.fit_all_partitions
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit_all(*args, **kwargs)
+
+    monkeypatch.setattr(dnc, "fit_all_partitions", counted)
+    with pytest.raises(ValueError, match="multiplier distribution"):
+        run_coverage_row(DgpSpec(64), 4, (2,), 0.1, 50, 5, seed=0, scheme=scheme,
+                         multiplier="rademacher")
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda threads: fit_all_partitions(
+        Sample(np.linspace(0, 1, 8), np.zeros(8)), make_partition_plan(8, 2, seed=0),
+        KernelSpec(), 1e-3, [0.5], threads=threads),
+    lambda threads: run_coverage_row(DgpSpec(64), 4, (2,), 0.1, 50, 2, seed=0, threads=threads),
+    lambda threads: rate_study([256], 0.5, reps=2, seed=6, threads=threads),
+], ids=["fit_all_partitions", "run_coverage_row", "rate_study"])
+def test_threads_below_one_are_rejected_before_any_fit(monkeypatch, run, threads):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("no partition may be fitted")
+
+    monkeypatch.setattr(krr, "fit", no_fit)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        run(threads)
 
 
 def test_coverage_row_rejects_empty_points():
