@@ -13,7 +13,7 @@ from dncbands.diagnostics import (
     variance_proxy,
 )
 
-model = SpectralModel.polynomial(8.0, 10**4)
+model = SpectralModel(8.0, 10**4)
 
 print("trace bound  sum mu/(mu+rho)^2  <=  T(rho)/rho")
 for rho in (1e-5, 1e-3, 1e-1):
@@ -27,7 +27,7 @@ for rho in (1e-5, 1e-3, 1e-1):
     print(f"  rho={rho:7.0e}:  T={t:8.4f}   T*rho^(1/8)={t * rho ** 0.125:.4f}   tail={tail:.1e}")
 
 print("\nsup-norm interpolation ratio over random expansions (J=256)")
-small = SpectralModel.polynomial(8.0, 256)
+small = SpectralModel(8.0, 256)
 grid = np.linspace(0, 1, 2048)
 rng = np.random.default_rng(0)
 ratios = [

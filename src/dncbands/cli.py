@@ -165,7 +165,7 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
 
 
 def cmd_coverage(cfg: RunConfig) -> list:
-    dgp = simulation.DgpSpec(cfg.dgp_n, cfg.dgp_true_function, cfg.dgp_table)
+    dgp = simulation.DgpSpec(cfg.dgp_n, cfg.dgp_table)
     kernel = cfg.kernel_spec()
     report = simulation.run_coverage_grid(
         dgp, cfg.grid_p, cfg.grid_t, cfg.alpha, cfg.bootstrap_replicates, cfg.grid_trials,
@@ -214,7 +214,7 @@ def cmd_rate(cfg: RunConfig) -> list:
     result = simulation.rate_study(
         cfg.rate_ns, cfg.penalty_r_prime, cfg.rate_reps, cfg.seed,
         kernel=cfg.kernel_spec(), schedule_c=cfg.penalty_c, threads=cfg.threads,
-        true_function=cfg.dgp_true_function, table=cfg.dgp_table,
+        table=cfg.dgp_table,
     )
     rows = [
         *zip(result.sizes, result.partition_counts, result.median_sup_errors),
@@ -248,7 +248,7 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
         )
     # interpolation inequality over seeded random expansions
     j_interp = min(cfg.diagnostics_truncation, 256)
-    interp_model = SpectralModel.polynomial(model.decay_exponent, j_interp)
+    interp_model = SpectralModel(model.decay_exponent, j_interp)
     rng = np.random.default_rng(cfg.seed)
     grid = np.linspace(0.0, 1.0, 2048)
     max_ratio = 0.0
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
             written = command(cfg, args.data)
         else:
             written = command(cfg)
-    except ValueError as exc:  # ConfigError and DataError included
+    except (OSError, ValueError) as exc:  # ConfigError, DataError and file errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

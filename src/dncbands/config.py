@@ -3,7 +3,8 @@
 A config file is a plain text file of ``key = value`` lines; ``#``
 starts a comment.  ``RunConfig`` is the only declaration of the keys:
 each dotted key is a field name with its first underscore read as a dot
-(``kernel_output_scale`` -> ``kernel.output_scale``), and the field's
+(``kernel_lengthscale`` -> ``kernel.lengthscale``, ``penalty_r_prime``
+-> ``penalty.r_prime``), and the field's
 annotation says how its value is parsed and formatted, in a file and on
 the command line.  Unknown keys are rejected, every value is
 range-checked against the library preconditions before any compute
@@ -14,15 +15,18 @@ file of these keys.
 The config hash identifies the scientific content of a run: it covers
 every key except the execution-only ones (threads, output.dir), so two
 runs that may differ only in parallelism or output location share a
-hash.  ``dgp.table`` is hashed as its default ``()`` unless
-``dgp.true_function = table``, the only truth that reads it.
+hash.
+
+No key restates another: a non-empty ``dgp.table`` is the truth in
+place of the sine, and the kernel has unit amplitude, because an
+amplitude s gives the estimator at ``penalty.c / s``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bootstrap import MULTIPLIER_DISTRIBUTIONS, SCHEMES
 from .kernels import KernelSpec
@@ -40,7 +44,6 @@ RESOLUTION_GUARD = 20.0  # bands need B >= 20 / alpha
 class RunConfig:
     kernel_nu: float = 3.5
     kernel_lengthscale: float = 1.0
-    kernel_output_scale: float = 1.0
     penalty_r_prime: float = 0.5
     penalty_c: float = 1.0
     partitions: int = 64
@@ -53,8 +56,7 @@ class RunConfig:
     seed: int = 20250801
     output_dir: str = "out"
     dgp_n: int = 4096
-    dgp_true_function: str = "sin2pix"
-    dgp_table: tuple[tuple[float, float], ...] = ()  # DgpSpec.table: (x, f) pairs
+    dgp_table: tuple[tuple[float, float], ...] = ()  # DgpSpec.table: (x, f) pairs, () = sine
     grid_p: tuple[int, ...] = (16, 64)
     grid_t: tuple[int, ...] = (4, 64)
     grid_trials: int = 500
@@ -66,11 +68,7 @@ class RunConfig:
     threads: int = 1
 
     def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(
-            nu=self.kernel_nu,
-            lengthscale=self.kernel_lengthscale,
-            output_scale=self.kernel_output_scale,
-        )
+        return KernelSpec(nu=self.kernel_nu, lengthscale=self.kernel_lengthscale)
 
 
 # dotted key -> (field name, annotated type), derived from RunConfig
@@ -145,7 +143,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     """Apply module range checks before any compute; raises ConfigError."""
     try:
         cfg.kernel_spec()
-        DgpSpec(cfg.dgp_n, cfg.dgp_true_function, cfg.dgp_table)
+        DgpSpec(cfg.dgp_n, cfg.dgp_table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not (0.5 <= cfg.penalty_r_prime <= 1.0):
@@ -215,7 +213,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     """Short digest of the scientific config (execution keys excluded)."""
-    if cfg.dgp_true_function != "table":
-        cfg = replace(cfg, dgp_table=())  # ignored by every other truth
     text = "\n".join(_config_lines(cfg, skip=EXECUTION_ONLY_KEYS))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]

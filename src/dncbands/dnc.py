@@ -33,11 +33,19 @@ class PartitionPlan:
     assignment: np.ndarray  # (N,) ints in [0, P)
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if a.shape != (self.total,):
+        raw = np.asarray(self.assignment)
+        if raw.shape != (self.total,):
             raise ValueError("assignment length does not match total")
+        with np.errstate(invalid="ignore"):  # a nan label casts to garbage, caught below
+            a = raw.astype(np.int64, copy=False)
+        valid = (a == raw) & (a >= 0) & (a < self.count)
+        if not np.all(valid):
+            raise ValueError(
+                f"assignment labels must be integers in [0, {self.count}), "
+                f"got {raw[~valid][0]}"
+            )
         sizes = np.bincount(a, minlength=self.count)
-        if len(sizes) != self.count or not np.all(sizes == self.total // self.count):
+        if not np.all(sizes == self.total // self.count):
             raise ValueError("assignment is not a balanced partition")
         object.__setattr__(self, "assignment", a)
 

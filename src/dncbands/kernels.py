@@ -3,7 +3,7 @@
 The kernel is always a half-integer Matern; for nu in {1/2, 3/2, 5/2, 7/2}
 it has a closed form
 
-    k(r) = s * p(u) * exp(-u),    u = sqrt(2 nu) r / l,
+    k(r) = p(u) * exp(-u),    u = sqrt(2 nu) r / l,
 
 with p a polynomial of degree nu - 1/2, so no Bessel-function
 evaluation is ever needed.  The kernel is only evaluated as a matrix:
@@ -46,11 +46,14 @@ ROW_BLOCK_ENTRIES = 2**16  # distance-buffer entries per row block
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Positive-definite Matern kernel: smoothness and scales."""
+    """Positive-definite Matern kernel of unit amplitude.
+
+    An amplitude s would only rescale the penalty: the estimator with
+    s * k at penalty constant c is the one with k at c / s.
+    """
 
     nu: float = 3.5
     lengthscale: float = 1.0
-    output_scale: float = 1.0
 
     def __post_init__(self):
         if self.nu not in HALF_INTEGER_NUS:
@@ -60,8 +63,6 @@ class KernelSpec:
             )
         if not (self.lengthscale > 0):
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
-        if not (self.output_scale > 0):
-            raise ValueError(f"output_scale must be positive, got {self.output_scale}")
 
     def decay_exponent(self, dim: int) -> float:
         """Polynomial eigendecay exponent b = 2 nu + d in dimension dim."""
@@ -86,7 +87,7 @@ def _as_points(x) -> np.ndarray:
 
 
 def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -> None:
-    """Kernel values s * p(u) * exp(-u) at the distances r >= 0, into poly.
+    """Kernel values p(u) * exp(-u) at the distances r >= 0, into poly.
 
     r is overwritten, and one more buffer of r's shape is used.  The
     steps follow the closed form term by term, so the values are those
@@ -111,7 +112,6 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -
         term *= u
         term /= 15.0
         poly += term
-    poly *= spec.output_scale
     np.negative(u, out=u)
     np.exp(u, out=u)
     poly *= u
@@ -188,7 +188,7 @@ def cross_matrix(spec: KernelSpec, points_a, points_b) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric Gram matrix of a point set; diagonal equals output_scale.
+    """Symmetric Gram matrix of a point set; its diagonal is 1.
 
     A (g, n, d) stack of point sets gives the (g, n, n) stack of their Grams.
     """
@@ -200,7 +200,7 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
         _kernel_rows(spec, a3[sets, start:stop], a3[sets, :stop], k[sets, start:stop, :stop])
         k[sets, :start, start:stop] = k[sets, start:stop, :start].swapaxes(1, 2)  # mirror
     # exactly symmetric: a_i - a_j is -(a_j - a_i) in IEEE arithmetic
-    k.reshape(g, n * n)[:, :: n + 1] = spec.output_scale
+    k.reshape(g, n * n)[:, :: n + 1] = 1.0
     return k if a.ndim == 3 else k[0]
 
 
@@ -210,30 +210,19 @@ class SpectralModel:
 
     decay_exponent: float
     truncation: int
-    eigenvalues: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.decay_exponent > 1):
             raise ValueError(f"decay exponent must exceed 1, got {self.decay_exponent}")
         if self.truncation < 1:
             raise ValueError("truncation must be a positive integer")
-        mu = np.asarray(self.eigenvalues, dtype=np.float64)
-        if mu.shape != (self.truncation,):
-            raise ValueError("eigenvalue array does not match the truncation")
-        if not np.all(mu > 0):
-            raise ValueError("eigenvalues must be positive")
-        if self.truncation > 1 and not np.all(np.diff(mu) < 0):
-            raise ValueError("eigenvalues must be strictly decreasing")
-        object.__setattr__(self, "eigenvalues", mu)
-
-    @classmethod
-    def polynomial(cls, decay_exponent: float, truncation: int) -> "SpectralModel":
-        j = np.arange(1, truncation + 1, dtype=np.float64)
-        return cls(decay_exponent, truncation, j ** (-decay_exponent))
+        j = np.arange(1, self.truncation + 1, dtype=np.float64)
+        object.__setattr__(self, "eigenvalues", j ** (-self.decay_exponent))
 
     @classmethod
     def from_matern(cls, spec: KernelSpec, dim: int, truncation: int) -> "SpectralModel":
-        return cls.polynomial(spec.decay_exponent(dim), truncation)
+        return cls(spec.decay_exponent(dim), truncation)
 
 
 def effective_dimension(model: SpectralModel, rho: float) -> float:

@@ -5,7 +5,8 @@ prediction points uniform on [0, 1], Gaussian noise whose variance
 exp(4 |x - 1/2|) depends on the covariate, and a sine truth whose
 frequency uses the literal constant 3.14 rather than pi (widths of
 order 3e-7 separate the two at the quarter-period; the literal is kept
-deliberately and flagged in the README).
+deliberately and flagged in the README).  A non-empty table of (x, f)
+pairs replaces the sine with a piecewise-linear truth.
 """
 
 from __future__ import annotations
@@ -37,18 +38,15 @@ class DgpSpec:
     """Synthetic heteroscedastic regression setup on [0, 1]."""
 
     n: int
-    true_function: str = "sin2pix"
-    # (x, f) pairs of a piecewise-linear truth, used when true_function ==
-    # "table": at least two, finite, x strictly increasing; the truth is
-    # held constant beyond the first and last x
+    # (x, f) pairs of a piecewise-linear truth, used in place of the sine
+    # when not empty: at least two, finite, x strictly increasing; the
+    # truth is held constant beyond the first and last x
     table: tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sample size n must be positive, got {self.n}")
-        if self.true_function not in ("sin2pix", "table"):
-            raise ValueError(f"true function must be sin2pix or table, got {self.true_function!r}")
-        if self.true_function == "table":
+        if len(self.table) > 0:  # len, not truth value: the table may be an array
             pairs = np.asarray(self.table, dtype=np.float64)
             if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
                 raise ValueError(f"table needs at least two (x, f) pairs, got {self.table!r}")
@@ -59,7 +57,7 @@ class DgpSpec:
 
     def f_star(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.true_function == "sin2pix":
+        if len(self.table) == 0:
             return np.sin(SIN_FREQUENCY * x)
         xs, fs = np.asarray(self.table, dtype=np.float64).T
         return np.interp(x, xs, fs)
@@ -153,6 +151,8 @@ def run_coverage_row(
             f"multiplier distribution must be one of {bootstrap_mod.MULTIPLIER_DISTRIBUTIONS}, "
             f"got {multiplier!r}"
         )
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     if trials == 0:
         return (0,) * len(points), 0
     rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
@@ -299,7 +299,6 @@ def rate_study(
     seed,
     kernel: KernelSpec = KernelSpec(),
     schedule_c: float = 1.0,
-    true_function: str = "sin2pix",
     table: tuple = (),
     threads: int = 1,
 ) -> RateStudyResult:
@@ -323,7 +322,7 @@ def rate_study(
         if n_total % n_partitions != 0:
             raise ValueError(f"partition rule gave P={n_partitions} for N={n_total}, not a divisor")
         p_used.append(n_partitions)
-        dgp = DgpSpec(n_total, true_function, table)
+        dgp = DgpSpec(n_total, table)
         truth = dgp.f_star(grid[:, 0])
         rho = krr.penalty_schedule(n_total, kernel.decay_exponent(1), r_prime, schedule_c)
         rep_seeds = s_n.spawn(reps)

@@ -72,7 +72,7 @@ def report(num, name, ok, detail):
 
 
 def desk_kernel(lengthscale):
-    return KernelSpec(nu=3.5, lengthscale=lengthscale, output_scale=1.0)
+    return KernelSpec(nu=3.5, lengthscale=lengthscale)
 
 
 def desk_cells(lengthscale, seed, trials=DESK_R):
@@ -345,12 +345,12 @@ def test_criterion_09_spectral_inequality_suites():
     violations = 0
     for b in (1.5, 2.0, 4.0, 8.0):
         for j in (10**2, 10**4):
-            model = SpectralModel.polynomial(b, j)
+            model = SpectralModel(b, j)
             for rho in np.logspace(-6, -1, 12):
                 check = check_trace_bound(model, float(rho))
                 violations += 0 if check.lhs <= check.rhs else 1
 
-    model = SpectralModel.polynomial(8.0, 256)
+    model = SpectralModel(8.0, 256)
     grid = np.linspace(0, 1, 2048)
     rng = np.random.default_rng(ACCEPT_SEED + 4)
     ratios = []

@@ -56,7 +56,6 @@ PUBLIC_KEYS = [
     "bootstrap.scheme",
     "dgp.n",
     "dgp.table",
-    "dgp.true_function",
     "diagnostics.enabled",
     "diagnostics.rhos",
     "diagnostics.truncation",
@@ -65,7 +64,6 @@ PUBLIC_KEYS = [
     "grid.trials",
     "kernel.lengthscale",
     "kernel.nu",
-    "kernel.output_scale",
     "output.dir",
     "partitions",
     "penalty.c",
@@ -85,7 +83,8 @@ def test_config_keys_are_the_documented_set():
     keys = parse_config_text(serialize_config(RunConfig())).keys()
     assert sorted(keys) == PUBLIC_KEYS
     # removed keys are rejected like any unknown key
-    for line in ("kernel.family = matern\n", "grid.full_scale = true\n"):
+    for line in ("kernel.family = matern\n", "grid.full_scale = true\n",
+                 "kernel.output_scale = 1.0\n", "dgp.true_function = table\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
 
@@ -154,16 +153,15 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_table_true_function_config(tmp_path, capsys):
+    # the empty default table is the sine; a table of one pair is no truth
     with pytest.raises(ConfigError, match="at least two"):
-        make_config({"dgp.true_function": "table"})
-    cfg = make_config(
-        {"dgp.true_function": "table", "dgp.table": ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))}
-    )
+        make_config({"dgp.table": ((0.5, 1.0),)})
+    cfg = make_config({"dgp.table": ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0))})
     assert make_config(parse_config_text(serialize_config(cfg))) == cfg
     # a coverage run on the triangular-bump target goes end to end
     file_cfg = tmp_path / "run.cfg"
     file_cfg.write_text(
-        "dgp.n = 256\ndgp.true_function = table\ndgp.table = 0:0; 0.5:1; 1:0\n"
+        "dgp.n = 256\ndgp.table = 0:0; 0.5:1; 1:0\n"
         "grid.p = 8\ngrid.t = 2\ngrid.trials = 2\nbootstrap.replicates = 200\n"
         "kernel.lengthscale = 0.2\n"
     )
@@ -179,12 +177,16 @@ def test_config_hash_ignores_execution_keys():
     assert config_hash(base) != config_hash(make_config({"alpha": 0.2}))
 
 
-def test_config_hash_ignores_a_table_the_truth_does_not_read():
-    table = ((0.0, 0.0), (1.0, 1.0))
-    assert config_hash(make_config({"dgp.table": table})) == config_hash(make_config({}))
-    with_table = make_config({"dgp.true_function": "table", "dgp.table": table})
-    other = make_config({"dgp.true_function": "table", "dgp.table": ((0.0, 0.0), (1.0, 2.0))})
-    assert config_hash(with_table) != config_hash(other)
+def test_config_hash_covers_the_table():
+    # every table is the truth, so every table enters the hash
+    with_table = make_config({"dgp.table": ((0.0, 0.0), (1.0, 1.0))})
+    other = make_config({"dgp.table": ((0.0, 0.0), (1.0, 2.0))})
+    assert len({config_hash(make_config({})), config_hash(with_table), config_hash(other)}) == 3
+
+
+def test_default_config_hash():
+    # changes only when a key is added, removed or given a new default
+    assert config_hash(RunConfig()) == "2b08ac83fe6b"
 
 
 def test_full_scale_grid_dimensions():
@@ -292,6 +294,25 @@ def test_cmd_fit_divisibility_error(tmp_path, capsys):
     code = run_cli(["fit", "--data", data, "--out", tmp_path / "o", "--partitions", 4])
     assert code == 2
     assert "does not divide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing data", "missing config", "data is a directory",
+                                  "missing prediction.path"])
+def test_file_errors_exit_2_with_a_message(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    write_training_csv(data, n=4, seed=11)
+    missing = tmp_path / "missing"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"prediction.path = {missing}\npartitions = 1\n")
+    argv = {
+        "missing data": ["fit", "--data", missing],
+        "missing config": ["coverage", "--config", missing],
+        "data is a directory": ["bands", "--data", tmp_path],
+        "missing prediction.path": ["fit", "--data", data, "--config", cfg],
+    }[case]
+    assert run_cli([*argv, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_cmd_bands_resolution_guard(tmp_path, capsys):
@@ -463,9 +484,9 @@ def test_cmd_dry_run_rejects_a_grid_coverage_rejects(tmp_path, capsys):
             "partition counts [8, 7] do not divide N=100",
         "grid.trials = 0\n": "grid.trials must be at least 1, got 0",
         # DgpSpec's table rules, reached through validate_config
-        "dgp.true_function = table\ndgp.table = 1:0; 0:1; 0.5:2\n": "strictly increasing",
-        "dgp.true_function = table\ndgp.table = 0:0; 0:1\n": "strictly increasing",
-        "dgp.true_function = table\ndgp.table = 0:nan; 1:0\n": "finite",
+        "dgp.table = 1:0; 0:1; 0.5:2\n": "strictly increasing",
+        "dgp.table = 0:0; 0:1\n": "strictly increasing",
+        "dgp.table = 0:nan; 1:0\n": "finite",
     }
     cfg = tmp_path / "run.cfg"
     for text, message in configs.items():

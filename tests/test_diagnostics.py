@@ -16,7 +16,7 @@ GRID = np.linspace(0.0, 1.0, 2048)
 
 
 def test_trace_bound_single_eigenvalue():
-    model = SpectralModel.polynomial(8.0, 1)  # mu_1 = 1
+    model = SpectralModel(8.0, 1)  # mu_1 = 1
     check = check_trace_bound(model, 1.0)
     assert check.lhs == pytest.approx(0.25, rel=1e-15)
     assert check.rhs == pytest.approx(0.5, rel=1e-15)
@@ -25,7 +25,7 @@ def test_trace_bound_single_eigenvalue():
 
 
 def test_trace_bound_polynomial_model():
-    model = SpectralModel.polynomial(8.0, 10**4)
+    model = SpectralModel(8.0, 10**4)
     check = check_trace_bound(model, 1e-3)
     assert check.lhs <= check.rhs
     assert check.ratio < 1.0
@@ -35,7 +35,7 @@ def test_trace_bound_polynomial_model():
 
 
 def test_trace_bound_vanishes_for_large_rho():
-    model = SpectralModel.polynomial(8.0, 100)
+    model = SpectralModel(8.0, 100)
     check = check_trace_bound(model, 1e8)
     assert check.lhs < 1e-14 and check.rhs < 1e-14
     assert check.lhs <= check.rhs
@@ -45,7 +45,7 @@ def test_trace_bound_holds_across_grid():
     # zero violations over the sampled (rho, J, b) grid
     for b in (1.5, 2.0, 4.0, 8.0):
         for j in (10**2, 10**4):
-            model = SpectralModel.polynomial(b, j)
+            model = SpectralModel(b, j)
             for rho in np.logspace(-6, -1, 12):
                 check = check_trace_bound(model, float(rho))
                 assert check.lhs <= check.rhs
@@ -67,7 +67,7 @@ def test_cosine_basis_orthonormal_and_bounded():
 
 
 def test_interpolation_single_basis_function():
-    model = SpectralModel.polynomial(8.0, 4)
+    model = SpectralModel(8.0, 4)
     # theta = e_2 / sqrt(mu_2) makes f exactly the second basis function
     theta = np.zeros(4)
     theta[1] = model.eigenvalues[1] ** -0.5
@@ -80,14 +80,14 @@ def test_interpolation_single_basis_function():
 
 
 def test_interpolation_zero_function():
-    model = SpectralModel.polynomial(8.0, 8)
+    model = SpectralModel(8.0, 8)
     f = EigenExpansionFunction(np.zeros(8), model)
     check = check_interpolation_inequality(f, GRID)
     assert check == (0.0, 0.0, 0.0)
 
 
 def test_interpolation_ratio_bounded_over_random_draws():
-    model = SpectralModel.polynomial(8.0, 256)
+    model = SpectralModel(8.0, 256)
     rng = np.random.default_rng(42)
     ratios = []
     for _ in range(100):
@@ -99,7 +99,7 @@ def test_interpolation_ratio_bounded_over_random_draws():
 
 
 def test_interpolation_ratio_scale_invariant():
-    model = SpectralModel.polynomial(8.0, 32)
+    model = SpectralModel(8.0, 32)
     rng = np.random.default_rng(43)
     theta = rng.normal(size=32)
     base = check_interpolation_inequality(EigenExpansionFunction(theta, model), GRID)
@@ -110,7 +110,7 @@ def test_interpolation_ratio_scale_invariant():
 
 
 def test_variance_proxy_scaling_in_n():
-    model = SpectralModel.polynomial(8.0, 1000)
+    model = SpectralModel(8.0, 1000)
     rho = 1e-3
     v1 = variance_proxy(model, 100, rho)
     v2 = variance_proxy(model, 200, rho)
@@ -121,7 +121,7 @@ def test_variance_proxy_scaling_in_n():
 def test_variance_proxy_plug_in_value():
     from dncbands.krr import penalty_schedule
 
-    model = SpectralModel.polynomial(8.0, 10**4)
+    model = SpectralModel(8.0, 10**4)
     rho = penalty_schedule(2**16, 8.0, 0.5)
     value = variance_proxy(model, 2**16 // 2**8, rho)
     assert np.isfinite(value) and value > 0
@@ -132,7 +132,7 @@ def test_variance_proxy_vs_simplified_bound():
     # polynomial-decay fact keeps near 1; stay in the guard range on
     # rho in [1e-4, 1e-1] (below that the constant-free ratio drifts
     # just above 1 because the true constant is (pi/b)/sin(pi/b) > 1)
-    model = SpectralModel.polynomial(8.0, 10**4)
+    model = SpectralModel(8.0, 10**4)
     for rho in np.logspace(-4, -1, 7):
         simplified = 1.0 / np.sqrt(100 * float(rho) ** (2.0 / 8.0))
         ratio = variance_proxy(model, 100, float(rho)) / simplified
@@ -140,7 +140,7 @@ def test_variance_proxy_vs_simplified_bound():
 
 
 def test_g_ratio_estimate():
-    model = SpectralModel.polynomial(8.0, 100)
+    model = SpectralModel(8.0, 100)
     values = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 8.0]])
     matrix = LocalPredictionMatrix.from_values(values)
     floor = values.std(axis=0, ddof=1).min()
@@ -149,7 +149,7 @@ def test_g_ratio_estimate():
 
 
 def test_g_ratio_estimate_needs_two_partitions():
-    model = SpectralModel.polynomial(8.0, 10)
+    model = SpectralModel(8.0, 10)
     matrix = LocalPredictionMatrix.from_values(np.ones((1, 2)))
     with pytest.raises(ValueError):
         g_ratio_estimate(matrix, model, 10, 1e-3)

@@ -57,6 +57,25 @@ def test_plan_validation_rejects_unbalanced():
         PartitionPlan(4, 2, np.array([0, 0, 0, 1]))
 
 
+@pytest.mark.parametrize("labels", [
+    [0.2, 0.7, 1.3, 1.9],  # was truncated to 0, 0, 1, 1
+    [0, 0, 1, np.nan],
+    [0, 1, 1, -1],
+    [0, 0, 1, 5],
+    [0, 0, 1, 2],
+], ids=["fractional", "nan", "negative", "five", "two"])
+def test_plan_labels_must_be_integers_in_range(labels):
+    with pytest.raises(ValueError, match=r"integers in \[0, 2\)"):
+        PartitionPlan(4, 2, labels)
+
+
+def test_plan_accepts_integral_labels_of_any_dtype():
+    for labels in ([0, 1, 1, 0], np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 1, 0], np.int8)):
+        plan = PartitionPlan(4, 2, labels)
+        assert plan.assignment.dtype == np.int64
+        assert plan.assignment.tolist() == [0, 1, 1, 0]
+
+
 def sample_for(n, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, (n, 1))
@@ -147,7 +166,7 @@ def per_partition_rows(sample, plan, spec, rho, points):
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
 def test_grouped_fits_equal_per_partition_fits_bit_for_bit(nu):
-    spec = KernelSpec(nu=nu, lengthscale=0.3, output_scale=1.2)
+    spec = KernelSpec(nu=nu, lengthscale=0.3)
     # (n, P, d, T): Grams of several partitions per kernel block, the last
     # group short (n = 3, 16, 64), one partition per block (256), rows of
     # one partition (300), two covariates, and cross matrices whose T * n

@@ -17,27 +17,27 @@ from dncbands.kernels import (
 MATERN72_AT_ONE = 0.5449424471128748
 
 
-def test_kernel_at_zero_distance_equals_output_scale():
-    spec = KernelSpec()
-    assert cross_matrix(spec, 0.3, 0.3)[0, 0] == 1.0
-    scaled = KernelSpec(output_scale=2.5)
-    assert cross_matrix(scaled, 0.7, 0.7)[0, 0] == 2.5
+def test_kernel_at_zero_distance_is_one():
+    for nu in HALF_INTEGER_NUS:
+        spec = KernelSpec(nu=nu, lengthscale=0.3)
+        assert cross_matrix(spec, 0.3, 0.3)[0, 0] == 1.0
+        assert cross_matrix(spec, [[0.7, -1.2]], [[0.7, -1.2]])[0, 0] == 1.0
 
 
 def test_matern72_closed_form_at_unit_distance():
-    spec = KernelSpec(nu=3.5, lengthscale=1.0, output_scale=1.0)
+    spec = KernelSpec(nu=3.5, lengthscale=1.0)
     assert cross_matrix(spec, 0.0, 1.0)[0, 0] == pytest.approx(MATERN72_AT_ONE, rel=1e-15)
 
 
 def test_exponential_special_case():
-    spec = KernelSpec(nu=0.5, lengthscale=2.0, output_scale=1.0)
+    spec = KernelSpec(nu=0.5, lengthscale=2.0)
     assert cross_matrix(spec, 0.0, 2.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
 
 def test_symmetry_exact():
     rng = np.random.default_rng(0)
     for nu in (0.5, 1.5, 2.5, 3.5):
-        spec = KernelSpec(nu=nu, lengthscale=0.7, output_scale=1.3)
+        spec = KernelSpec(nu=nu, lengthscale=0.7)
         a, b = rng.uniform(-2, 2, size=(2, 20, 3))
         assert np.array_equal(cross_matrix(spec, a, b), cross_matrix(spec, b, a).T)
 
@@ -51,9 +51,9 @@ def test_monotone_decay_in_distance():
 
 def test_values_in_unit_interval():
     rng = np.random.default_rng(1)
-    spec = KernelSpec(output_scale=2.0)
+    spec = KernelSpec()
     v = cross_matrix(spec, rng.uniform(-3, 3, 50), rng.uniform(-3, 3, 50))
-    assert np.all((0.0 < v) & (v <= 2.0))
+    assert np.all((0.0 < v) & (v <= 1.0))
 
 
 def test_non_finite_input_rejected():
@@ -71,21 +71,17 @@ def test_invalid_specs_rejected():
         KernelSpec(nu=2.0)
     with pytest.raises(ValueError):
         KernelSpec(lengthscale=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(output_scale=-1.0)
 
 
 def test_gram_single_point():
-    spec = KernelSpec(output_scale=3.0)
-    g = gram_matrix(spec, [[0.4]])
+    g = gram_matrix(KernelSpec(), [[0.4]])
     assert g.shape == (1, 1)
-    assert g[0, 0] == 3.0
+    assert g[0, 0] == 1.0
 
 
 def test_gram_coincident_points_rank_one():
-    spec = KernelSpec(output_scale=2.0)
-    g = gram_matrix(spec, [[0.4], [0.4], [0.4]])
-    assert np.all(g == 2.0)
+    g = gram_matrix(KernelSpec(), [[0.4], [0.4], [0.4]])
+    assert np.all(g == 1.0)
 
 
 def test_gram_five_random_points_psd():
@@ -100,16 +96,16 @@ def test_gram_psd_up_to_fifty_points():
     rng = np.random.default_rng(2)
     for nu in (0.5, 1.5, 2.5, 3.5):
         for n, d in ((10, 1), (50, 2), (33, 3)):
-            spec = KernelSpec(nu=nu, lengthscale=0.5, output_scale=1.5)
+            spec = KernelSpec(nu=nu, lengthscale=0.5)
             pts = rng.uniform(-1, 1, (n, d))
             g = gram_matrix(spec, pts)
             assert np.array_equal(g, g.T)
             eigs = np.linalg.eigvalsh(g)
-            assert eigs.min() >= -1e-10 * n * spec.output_scale
+            assert eigs.min() >= -1e-10 * n
 
 
 def closed_form_profile(spec, r):
-    """s * p(u) * exp(-u), written out term by term; the tests' kernel oracle."""
+    """p(u) * exp(-u), written out term by term; the tests' kernel oracle."""
     u = np.sqrt(2.0 * spec.nu) * r / spec.lengthscale
     if spec.nu == 0.5:
         poly = 1.0
@@ -119,7 +115,7 @@ def closed_form_profile(spec, r):
         poly = 1.0 + u + u * u / 3.0
     else:
         poly = 1.0 + u + 0.4 * u * u + u * u * u / 15.0
-    return spec.output_scale * poly * np.exp(-u)
+    return poly * np.exp(-u)
 
 
 def closed_form_cross(spec, a, b):
@@ -131,8 +127,8 @@ def closed_form_cross(spec, a, b):
 def test_kernel_matrices_bitwise_equal_closed_form():
     rng = np.random.default_rng(3)
     for nu in (0.5, 1.5, 2.5, 3.5):
-        for lengthscale, scale in ((0.2, 1.0), (1.0, 1.5), (3.3, 0.3)):
-            spec = KernelSpec(nu=nu, lengthscale=lengthscale, output_scale=scale)
+        for lengthscale in (0.2, 1.0, 3.3):
+            spec = KernelSpec(nu=nu, lengthscale=lengthscale)
             for d in (1, 2, 3):
                 a = rng.uniform(-2, 2, (40, d))
                 b = rng.uniform(-2, 2, (25, d))
@@ -150,7 +146,7 @@ def test_kernel_matrices_do_not_depend_on_the_row_block(monkeypatch, block):
     monkeypatch.setattr(kernels, "ROW_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(8)
     for nu in HALF_INTEGER_NUS:
-        spec = KernelSpec(nu=nu, lengthscale=0.7, output_scale=1.3)
+        spec = KernelSpec(nu=nu, lengthscale=0.7)
         for n, d in ((1500, 1), (300, 3)):
             a = rng.uniform(-2, 2, (n, d))
             g = gram_matrix(spec, a)
@@ -168,7 +164,7 @@ def test_stacked_kernel_matrices_equal_their_slices(monkeypatch, block):
     monkeypatch.setattr(kernels, "ROW_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(9)
     for nu in HALF_INTEGER_NUS:
-        spec = KernelSpec(nu=nu, lengthscale=0.4, output_scale=0.8)
+        spec = KernelSpec(nu=nu, lengthscale=0.4)
         for g, n, m, d in ((5, 16, 9, 1), (3, 1, 4, 2), (2, 270, 300, 1), (4, 7, 1, 3)):
             a = rng.uniform(-1, 1, (g, n, d))
             b = rng.uniform(-1, 1, (g, m, d))
@@ -198,16 +194,16 @@ def test_stacks_must_agree_in_count_and_dimension():
 
 
 def test_effective_dimension_single_eigenvalue():
-    model = SpectralModel.polynomial(8.0, 1)  # mu_1 = 1
+    model = SpectralModel(8.0, 1)  # mu_1 = 1
     assert effective_dimension(model, 1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_effective_dimension_brute_force_oracle():
     # partial sum at a much higher truncation is the oracle
     rho = 1e-4
-    model = SpectralModel.polynomial(8.0, 10**4)
+    model = SpectralModel(8.0, 10**4)
     value = effective_dimension(model, rho)
-    oracle = SpectralModel.polynomial(8.0, 10**6)
+    oracle = SpectralModel(8.0, 10**6)
     assert value == pytest.approx(effective_dimension(oracle, rho), rel=1e-12)
     assert value == pytest.approx(2.7447930103482587, rel=1e-12)
     # integral comparison: within a constant factor of rho^(-1/8)
@@ -215,12 +211,12 @@ def test_effective_dimension_brute_force_oracle():
 
 
 def test_effective_dimension_dominated_by_large_rho():
-    model = SpectralModel.polynomial(8.0, 1)
+    model = SpectralModel(8.0, 1)
     assert effective_dimension(model, 1e8) == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_effective_dimension_monotone_in_rho():
-    model = SpectralModel.polynomial(4.0, 1000)
+    model = SpectralModel(4.0, 1000)
     rhos = np.logspace(-6, 2, 25)
     vals = [effective_dimension(model, r) for r in rhos]
     assert np.all(np.diff(vals) < 0)
@@ -228,7 +224,7 @@ def test_effective_dimension_monotone_in_rho():
 
 def test_effective_dimension_polynomial_scaling():
     # T(rho) * rho^(1/b) stays within a constant factor across rho
-    model = SpectralModel.polynomial(8.0, 10**4)
+    model = SpectralModel(8.0, 10**4)
     rhos = np.logspace(-6, -1, 11)
     prods = np.array(
         [effective_dimension(model, r) * r ** (1.0 / 8.0) for r in rhos]
@@ -238,7 +234,7 @@ def test_effective_dimension_polynomial_scaling():
 
 
 def test_effective_dimension_domain_error():
-    model = SpectralModel.polynomial(8.0, 10)
+    model = SpectralModel(8.0, 10)
     with pytest.raises(ValueError):
         effective_dimension(model, 0.0)
     with pytest.raises(ValueError):
@@ -246,7 +242,7 @@ def test_effective_dimension_domain_error():
 
 
 def test_tail_term_reported():
-    model = SpectralModel.polynomial(8.0, 100)
+    model = SpectralModel(8.0, 100)
     rho = 1e-3
     mu_last = 100.0**-8
     assert effective_dimension_tail(model, rho) == pytest.approx(
@@ -256,12 +252,10 @@ def test_tail_term_reported():
 
 
 def test_spectral_model_validation():
-    with pytest.raises(ValueError):
-        SpectralModel(1.0, 3, np.array([1.0, 0.5, 0.25]))  # b must exceed 1
-    with pytest.raises(ValueError):
-        SpectralModel(2.0, 3, np.array([1.0, 1.0, 0.5]))  # not strictly decreasing
-    with pytest.raises(ValueError):
-        SpectralModel(2.0, 3, np.array([1.0, 0.5]))  # length mismatch
+    with pytest.raises(ValueError, match="exceed 1"):
+        SpectralModel(1.0, 3)
+    with pytest.raises(ValueError, match="positive integer"):
+        SpectralModel(2.0, 0)
 
 
 def test_spectral_model_from_matern():

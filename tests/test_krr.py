@@ -109,7 +109,7 @@ def test_ridge_limit_predictions_vanish():
     spec = KernelSpec()
     rho = 1e8
     fitted = fit(sample, spec, rho)
-    margin = np.linalg.norm(sample.responses) * spec.output_scale / rho
+    margin = np.linalg.norm(sample.responses) / rho
     assert np.max(np.abs(predict(fitted, np.linspace(0, 1, 9)))) <= margin
 
 

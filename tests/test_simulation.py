@@ -42,11 +42,17 @@ def test_truth_uses_literal_constant():
 
 
 def test_table_true_function():
-    dgp = DgpSpec(16, true_function="table", table=((0.0, 0.0), (0.5, 2.0), (1.0, 0.0)))
+    dgp = DgpSpec(16, table=((0.0, 0.0), (0.5, 2.0), (1.0, 0.0)))
     assert dgp.f_star(0.25) == pytest.approx(1.0)
     assert dgp.f_star(0.5) == 2.0
-    dgp = DgpSpec(16, true_function="table", table=((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))
+    dgp = DgpSpec(16, table=((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))
     assert np.array_equal(dgp.f_star([0.0, 0.25, 0.5, 0.75, 1.0]), [1.0, 1.5, 2.0, 1.0, 0.0])
+    # an array table is a table too, and an empty one is the sine
+    dgp = DgpSpec(16, table=np.array([[0.0, 1.0], [0.5, 2.0], [1.0, 0.0]]))
+    assert np.array_equal(dgp.f_star([0.0, 0.25, 1.0]), [1.0, 1.5, 0.0])
+    for empty in ((), np.empty((0, 2))):
+        assert np.array_equal(DgpSpec(16, table=empty).f_star([0.1, 0.25]),
+                              DgpSpec(16).f_star([0.1, 0.25]))
 
 
 def test_table_rules():
@@ -54,13 +60,13 @@ def test_table_rules():
     # truth 0, 0, 0, 2, 2 at x = 0, .25, .5, .75, 1, not 1, 1.5, 2, 1, 0
     bad = {
         "strictly increasing": (((1.0, 0.0), (0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.0, 2.0))),
-        "at least two": ((), ((0.0, 1.0),), ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0))),
+        "at least two": (((0.0, 1.0),), ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0))),
         "finite": (((0.0, np.nan), (1.0, 0.0)), ((0.0, 1.0), (np.inf, 0.0))),
     }
     for message, tables in bad.items():
         for table in tables:
             with pytest.raises(ValueError, match=message):
-                DgpSpec(16, true_function="table", table=table)
+                DgpSpec(16, table=table)
 
 
 def test_generate_trial_shapes_and_determinism():
@@ -104,19 +110,31 @@ def test_run_coverage_cell_divisibility_checked_first():
         run_coverage_cell(DgpSpec(100), 64, 2, 0.05, 100, 5, seed=0)
 
 
-@pytest.mark.parametrize("trials", [0, 2])
-@pytest.mark.parametrize("run", [
+COVERAGE_ENTRY_POINTS = pytest.mark.parametrize("run", [
     lambda **kw: run_coverage_row(DgpSpec(64), 4, (2,), 0.1, 50, seed=0, **kw),
     lambda **kw: run_coverage_cell(DgpSpec(64), 4, 2, 0.1, 50, seed=0, **kw),
     lambda **kw: run_coverage_grid(DgpSpec(64), (4,), (2,), 0.1, 50, master_seed=0, **kw),
 ], ids=["row", "cell", "grid"])
-def test_unknown_scheme_is_rejected_before_any_fit(monkeypatch, run, trials):
-    def boom(*args, **kwargs):
-        raise AssertionError("no trial may be fitted")
 
-    monkeypatch.setattr(dnc, "fit_all_partitions", boom)
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("no trial may be fitted")
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+@COVERAGE_ENTRY_POINTS
+def test_unknown_scheme_is_rejected_before_any_fit(monkeypatch, run, trials):
+    monkeypatch.setattr(dnc, "fit_all_partitions", no_fit)
     with pytest.raises(ValueError, match="scheme"):
         run(trials=trials, scheme="emprical")
+
+
+@pytest.mark.parametrize("trials", [-1, -3])
+@COVERAGE_ENTRY_POINTS
+def test_negative_trials_are_rejected_before_any_fit(monkeypatch, run, trials):
+    monkeypatch.setattr(dnc, "fit_all_partitions", no_fit)
+    with pytest.raises(ValueError, match=f"trials must be at least 0, got {trials}"):
+        run(trials=trials)
 
 
 @pytest.mark.parametrize("scheme", ["empirical", "multiplier"])
@@ -145,9 +163,6 @@ def test_unknown_multiplier_is_rejected_before_any_fit(monkeypatch, scheme):
     lambda threads: rate_study([256], 0.5, reps=2, seed=6, threads=threads),
 ], ids=["fit_all_partitions", "run_coverage_row", "rate_study"])
 def test_threads_below_one_are_rejected_before_any_fit(monkeypatch, run, threads):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("no partition may be fitted")
-
     monkeypatch.setattr(krr, "fit", no_fit)
     with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
         run(threads)
@@ -220,12 +235,14 @@ def test_coverage_ci99_bitwise_reference_values():
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # no scipy module at all: start-up time is a benchmark metric
     src = os.path.dirname(os.path.dirname(dncbands.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, dncbands.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, dncbands.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_coverage_ci99_domain_errors():
