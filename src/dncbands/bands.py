@@ -4,33 +4,34 @@ Calibration finds a single tail level c, shared by every component,
 such that the band built from each column's (c, 1-c) empirical
 quantiles contains at least a 1-alpha fraction of the bootstrap
 replicates component-wise.  Because coverage is monotone in c, the
-largest admissible c is well defined, and it can be read off a rank
-transform without scanning candidate levels:
+largest admissible c is well defined, and it can be read off per-draw
+depths without scanning candidate levels:
 
     m_b = min over components of (#draws strictly below b, #draws
           strictly above b); then c = k/B, where k is the largest
-          depth attained by at least ceil((1-alpha) B) replicates.
+          depth attained by at least need = ceil((1-alpha) B) replicates.
 
 Conventions pinned here (they matter for exactness):
   * empirical quantiles are inverse-ECDF order statistics, lower index
     k = ceil(cB), upper symmetric from the top;
   * "inside" means strict inequality on both sides;
-  * sorting is stable, so ties are broken by replicate index;
+  * ties are broken by replicate index, as in a stable sort, which
+    fixes the sign of a zero band offset;
   * achievable coverage moves in steps of 1/B and the returned bands
     are the smallest with coverage >= 1 - alpha.
 
-The depths come from ranks, not from a search per column.  In each
-component's stably sorted draws, the entries equal to a value form one
-tie run: the run's start is the count strictly below it and B - 1
-minus the run's end is the count strictly above it.  A running
-minimum of these per-component depths along the components then gives
-m_b for every prefix of the first T components at once, so one sort
-serves every T of a coverage grid row (``calibrate_prefixes``), and
-``calibrate`` is its one-T case.  The components are ranked in blocks
-of RANK_BLOCK = 64, which gives the same bits as ranking all columns at
-once with a fraction of the scratch: at B = 1000 and T = 512 one call
-raised peak RSS by about 28 MB unblocked and by about 8 MB in blocks,
-4 MB of which is the sorted copy of the draws.
+Only small depths matter.  In a component with spread, the k lowest
+draws have fewer than k draws strictly below them and the k highest
+fewer than k above, so at most B - 2k replicates reach depth k and no
+admissible k exceeds (B - need) // 2.  Depths are clipped at
+cap = min(k_max, (B - need) // 2) + 1, and only a column's two tails
+(the draws at or below its cap-th smallest value, or at or above its
+cap-th largest) can lie below cap.  A tail holds every value beyond its
+draws, so their counts come exactly, ties included, from the sorted
+tail.  A running minimum of these depths along the components gives
+m_b for every prefix, so one values-only sort of the first max(T)
+components serves every T of a coverage grid row
+(``calibrate_prefixes``), and ``calibrate`` is its one-T case.
 
 Components whose delta column has zero spread get a zero-width band,
 are flagged, and impose no constraint on the tail level (a point mass
@@ -47,9 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapDraws
-
-# components ranked per argsort; bounds the rank scratch to a few (64, B) arrays
-RANK_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -75,92 +73,94 @@ def _min_inside_count(b_total: int, alpha: float) -> int:
     return count
 
 
-def _block_depths(block: np.ndarray):
-    """Sorted rows, per-entry depths and degenerate flags of a (w, B) block.
+def _count_below(tails: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per entry i, how many of ``tails[rows[i]]`` lie strictly below ``values[i]``.
 
-    Row i holds one component's B draws.  An entry's depth is
-    min(#draws strictly below, #draws strictly above): in the stably
-    sorted row these are the start of its tie run and B - 1 minus the
-    run's end.  Degenerate rows get the int64 maximum, so they never
-    bind the minimum over components.
+    Rows are ascending and 2^m - 1 long: m halving steps search them all.
     """
-    w, b_total = block.shape
-    order = np.argsort(block, axis=1, kind="stable")
-    ordered = np.take_along_axis(block, order, axis=1)
-    position = np.arange(b_total)
-    run_start = np.ones((w, b_total), dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
-    below = np.where(run_start, position, 0)
-    np.maximum.accumulate(below, axis=1, out=below)
-    run_end = np.ones((w, b_total), dtype=bool)
-    run_end[:, :-1] = run_start[:, 1:]
-    above = np.where(run_end, position, b_total - 1)[:, ::-1]
-    np.minimum.accumulate(above, axis=1, out=above)
-    np.subtract(b_total - 1, above, out=above)
-    np.minimum(below, above[:, ::-1], out=below)
-    depth = np.empty((w, b_total), dtype=np.int64)
-    np.put_along_axis(depth, order, below, axis=1)
-    degenerate = ordered[:, 0] == ordered[:, -1]
-    depth[degenerate] = np.iinfo(np.int64).max
-    return ordered, depth, degenerate
+    width = tails.shape[1]
+    flat = tails.ravel()
+    last = rows * width - 1
+    count = np.zeros_like(rows)
+    step = (width + 1) // 2
+    while step:
+        count += step * (flat[last + count + step] < values)
+        step //= 2
+    return count
+
+
+def _stable_pick(columns: np.ndarray, ordered: np.ndarray, t: int, pos: int) -> np.ndarray:
+    """``ordered[:t, pos]``, with each zero signed as a stable sort would place it.
+
+    The default sort may swap the equal -0.0 and 0.0.  A stable sort puts
+    the raw column's (pos - #negatives)-th zero, in replicate order, at pos.
+    """
+    picked = ordered[:t, pos].copy()
+    rows = np.flatnonzero(picked == 0.0)
+    if rows.size:
+        raw = columns[rows]
+        nth = pos - np.count_nonzero(ordered[rows] < 0.0, axis=1)
+        seen = np.cumsum(raw == 0.0, axis=1)
+        picked[rows] = raw[np.arange(rows.size), np.argmax(seen > nth[:, None], axis=1)]
+    return picked
 
 
 def calibrate_prefixes(draws: BootstrapDraws, alpha: float, points) -> list[Bands]:
     """Calibrate the first T components, for every T in points, from one sort.
 
     Result i equals ``calibrate`` on the draws' first ``points[i]``
-    columns.  A replicate's depth at T is the running minimum, over the
-    first T components, of its per-component depth, so one pass over
+    columns; a delta in those columns that is not finite raises
+    ValueError.  A replicate's depth at T is the running minimum of its
+    per-component depths over the first T components, so one pass over
     the columns serves every T.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     deltas = np.asarray(draws.deltas, dtype=np.float64)
     b_total, t_total = deltas.shape
-    if t_total < 1:
-        raise ValueError("draws must cover at least one component")
-    points = [int(t) for t in points]
-    if not points or not all(1 <= t <= t_total for t in points):
-        raise ValueError(f"each T must lie in [1, {t_total}], got {points}")
-    t_max = max(points)
+    points = list(points)
+    if not points or not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                             and 1 <= t <= t_total for t in points):
+        raise ValueError(f"each T must be an integer in [1, {t_total}], got {points}")
 
-    sorted_cols = np.empty((t_max, b_total), dtype=np.float64)
-    degenerate = np.empty(t_max, dtype=bool)
-    depth_at = {}
-    running = np.full(b_total, np.iinfo(np.int64).max, dtype=np.int64)
-    columns = deltas.T
-    for start in range(0, t_max, RANK_BLOCK):
-        stop = min(start + RANK_BLOCK, t_max)
-        ordered, depth, degenerate[start:stop] = _block_depths(columns[start:stop])
-        sorted_cols[start:stop] = ordered
-        np.minimum(depth[0], running, out=depth[0])
-        np.minimum.accumulate(depth, axis=0, out=depth)
-        running = depth[-1]
-        for t in points:
-            if start < t <= stop:
-                depth_at[t] = depth[t - start - 1].copy()
-
+    ordered = deltas.T[: max(points)].copy(order="C")
+    ordered.sort(axis=1)
+    if not np.isfinite(ordered[:, [0, -1]]).all():  # the sort puts nan and inf last
+        raise ValueError("bootstrap deltas must be finite")
+    degenerate = ordered[:, 0] == ordered[:, -1]
     k_max = max(1, (b_total - 1) // 2)
-    need = _min_inside_count(b_total, alpha)
+    need = _min_inside_count(b_total, alpha)  # in [1, B] for alpha in (0, 1)
+    cap = min(k_max, (b_total - need) // 2) + 1
+    width = (1 << cap.bit_length()) - 1  # >= cap values, and at most 2 cap - 1 <= B
+    # the upper tail is the lower tail of the negated draws
+    sides = ((False, ordered[:, :width].copy()), (True, -ordered[:, ::-1][:, :width]))
+    running = np.full(b_total, cap, dtype=np.intp)
+    depth_at = {}
+    start = 0
+    for stop in sorted(set(points)):
+        for negate, tails in sides:
+            block = -deltas[:, start:stop] if negate else deltas[:, start:stop]
+            # an infinite threshold keeps a degenerate column out of the tail
+            top = np.where(degenerate[start:stop], -np.inf, tails[start:stop, cap - 1])
+            b, t = np.divmod(np.flatnonzero(block <= top), stop - start)
+            np.minimum.at(running, b, _count_below(tails, t + start, block[b, t]))
+        depth_at[stop] = running.copy()
+        start = stop
+
     out = []
     for t in points:
         if bool(np.all(degenerate[:t])):
-            k = k_max
-            coverage = 1.0
-            reachable = True
+            k, coverage, reachable = k_max, 1.0, True
         else:
             depth = depth_at[t]
-            if need > b_total:
-                k_star = 0
-            else:
-                k_star = int(np.partition(depth, b_total - need)[b_total - need])
-            k_star = min(k_star, k_max)
+            # the cap bound keeps k_star below cap, where clipping changes nothing
+            k_star = int(np.partition(depth, b_total - need)[b_total - need])
             reachable = k_star >= 1
             k = max(1, k_star)
             coverage = float(np.count_nonzero(depth >= k) / b_total)
         out.append(Bands(
-            lower=sorted_cols[:t, k - 1].copy(),
-            upper=sorted_cols[:t, b_total - k].copy(),
+            lower=_stable_pick(deltas.T, ordered, t, k - 1),
+            upper=_stable_pick(deltas.T, ordered, t, b_total - k),
             achieved_tail=k / b_total,
             achieved_coverage=coverage,
             degenerate=degenerate[:t].copy(),

@@ -3,6 +3,7 @@ import pytest
 
 from dncbands.bands import (
     Bands,
+    _min_inside_count,
     band_intervals,
     calibrate,
     calibrate_prefixes,
@@ -173,11 +174,182 @@ def test_calibrate_prefixes_match_calibrate_and_oracle(name, deltas, alpha):
         assert results[1].tail_reachable and not results[2].tail_reachable
 
 
+RANK_BLOCK = 64
+
+
+def _block_depths(block):
+    """Sorted rows, per-entry depths and degenerate flags of a (w, B) block.
+
+    Row i holds one component's B draws.  An entry's depth is
+    min(#draws strictly below, #draws strictly above): in the stably
+    sorted row these are the start of its tie run and B - 1 minus the
+    run's end.  Degenerate rows get the int64 maximum, so they never
+    bind the minimum over components.
+    """
+    w, b_total = block.shape
+    order = np.argsort(block, axis=1, kind="stable")
+    ordered = np.take_along_axis(block, order, axis=1)
+    position = np.arange(b_total)
+    run_start = np.ones((w, b_total), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
+    below = np.where(run_start, position, 0)
+    np.maximum.accumulate(below, axis=1, out=below)
+    run_end = np.ones((w, b_total), dtype=bool)
+    run_end[:, :-1] = run_start[:, 1:]
+    above = np.where(run_end, position, b_total - 1)[:, ::-1]
+    np.minimum.accumulate(above, axis=1, out=above)
+    np.subtract(b_total - 1, above, out=above)
+    np.minimum(below, above[:, ::-1], out=below)
+    depth = np.empty((w, b_total), dtype=np.int64)
+    np.put_along_axis(depth, order, below, axis=1)
+    degenerate = ordered[:, 0] == ordered[:, -1]
+    depth[degenerate] = np.iinfo(np.int64).max
+    return ordered, depth, degenerate
+
+
+def rank_calibrate_prefixes(deltas, alpha, points):
+    """Reference oracle: every per-draw depth from a stable argsort of each column.
+
+    No cap and no tails: the full (T, B) rank transform, blocked by
+    RANK_BLOCK components, with the library's level-selection rule.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    b_total, t_total = deltas.shape
+    points = [int(t) for t in points]
+    t_max = max(points)
+
+    sorted_cols = np.empty((t_max, b_total), dtype=np.float64)
+    degenerate = np.empty(t_max, dtype=bool)
+    depth_at = {}
+    running = np.full(b_total, np.iinfo(np.int64).max, dtype=np.int64)
+    columns = deltas.T
+    for start in range(0, t_max, RANK_BLOCK):
+        stop = min(start + RANK_BLOCK, t_max)
+        ordered, depth, degenerate[start:stop] = _block_depths(columns[start:stop])
+        sorted_cols[start:stop] = ordered
+        np.minimum(depth[0], running, out=depth[0])
+        np.minimum.accumulate(depth, axis=0, out=depth)
+        running = depth[-1]
+        for t in points:
+            if start < t <= stop:
+                depth_at[t] = depth[t - start - 1].copy()
+
+    k_max = max(1, (b_total - 1) // 2)
+    need = _min_inside_count(b_total, alpha)
+    out = []
+    for t in points:
+        if bool(np.all(degenerate[:t])):
+            k = k_max
+            coverage = 1.0
+            reachable = True
+        else:
+            depth = depth_at[t]
+            if need > b_total:
+                k_star = 0
+            else:
+                k_star = int(np.partition(depth, b_total - need)[b_total - need])
+            k_star = min(k_star, k_max)
+            reachable = k_star >= 1
+            k = max(1, k_star)
+            coverage = float(np.count_nonzero(depth >= k) / b_total)
+        out.append(Bands(
+            lower=sorted_cols[:t, k - 1].copy(),
+            upper=sorted_cols[:t, b_total - k].copy(),
+            achieved_tail=k / b_total,
+            achieved_coverage=coverage,
+            degenerate=degenerate[:t].copy(),
+            tail_reachable=reachable,
+        ))
+    return out
+
+
+def signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+def tie_heavy_instance(rng, b):
+    """(deltas, alpha, points) with ties, +-0.0 runs and constant columns."""
+    t = int(rng.integers(1, 131))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        deltas = rng.normal(size=(b, t))
+    elif kind == 1:
+        deltas = rng.integers(-3, 4, size=(b, t)) / 4.0
+    elif kind == 2:
+        deltas = np.round(0.6 * rng.normal(size=(b, t)))  # rounds to -0.0 and 0.0
+    else:
+        deltas = rng.integers(-1, 2, size=(b, t)) + signed_zeros(rng, (b, t))
+    for col in np.flatnonzero(rng.random(t) < 0.1):
+        deltas[:, col] = signed_zeros(rng, b) if rng.random() < 0.5 else 0.75
+    if rng.random() < 0.25:  # a degenerate prefix, which may cross any requested T
+        deltas[:, : int(rng.integers(1, t + 1))] = 1.5
+    alpha = float(rng.choice([0.001, 0.01, 0.05, 0.5, 0.9, 0.999, rng.uniform(0.01, 0.99)]))
+    points = [int(p) for p in rng.integers(1, t + 1, size=int(rng.integers(1, 6)))]
+    points.append(points[0])  # unsorted, with a repeat
+    return deltas, alpha, points
+
+
+@pytest.mark.parametrize("b", [20, 21, 40, 1000])
+def test_calibrate_prefixes_bitwise_equal_rank_oracle(b):
+    rng = np.random.default_rng(4100 + b)
+    unreachable = 0
+    for _ in range(40 if b < 1000 else 12):
+        deltas, alpha, points = tie_heavy_instance(rng, b)
+        results = calibrate_prefixes(draws_of(deltas), alpha, points)
+        assert len(results) == len(points)
+        for got, want in zip(results, rank_calibrate_prefixes(deltas, alpha, points)):
+            assert_bands_identical(got, want)
+            unreachable += not want.tail_reachable
+    assert unreachable > 0
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("odd_sign", [-0.0, 0.0])
+def test_band_offset_inside_a_mixed_zero_run(upper, odd_sign):
+    # five zeros below 1..15: at alpha = 0.5, k = 5 puts the lower offset
+    # at sorted position 4, the run's last zero, which a stable sort fills
+    # with the column's last zero in replicate order; negating the
+    # nonzero values puts the upper offset at the run's first zero
+    rng = np.random.default_rng(42)
+    zeros = [-odd_sign] * 4 + [odd_sign]
+    if upper:
+        zeros.reverse()
+    at = np.sort(rng.choice(20, size=5, replace=False))  # zeros keep their order
+    deltas = np.empty(20)
+    deltas[at] = zeros
+    deltas[np.setdiff1d(np.arange(20), at)] = rng.permutation(np.arange(1.0, 16.0))
+    deltas[deltas != 0.0] *= -1.0 if upper else 1.0
+    deltas = deltas.reshape(-1, 1)
+    got = calibrate(draws_of(deltas), 0.5)
+    assert_bands_identical(got, rank_calibrate_prefixes(deltas, 0.5, (1,))[0])
+    assert got.achieved_tail == 5 / 20
+    offset = got.upper[0] if upper else got.lower[0]
+    assert offset == 0.0 and np.signbit(offset) == np.signbit(odd_sign)
+
+
 def test_calibrate_prefixes_rejects_t_out_of_range():
     draws = draws_of(np.random.default_rng(32).normal(size=(30, 70)))
     for bad in ((0,), (71,), (-1, 4), (4, 71), ()):
         with pytest.raises(ValueError):
             calibrate_prefixes(draws, 0.1, bad)
+
+
+def test_calibrate_prefixes_rejects_non_integer_t():
+    draws = draws_of(np.random.default_rng(33).normal(size=(30, 70)))
+    for bad in ((2.5,), (True,), (2.5, True), (4, np.float64(4.0)), (np.bool_(True),), ("4",)):
+        with pytest.raises(ValueError):
+            calibrate_prefixes(draws, 0.1, bad)
+    assert calibrate_prefixes(draws, 0.1, (np.int64(4), np.int32(70)))[0].lower.shape == (4,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibrate_prefixes_rejects_non_finite_deltas(bad):
+    deltas = np.random.default_rng(34).normal(size=(40, 5))
+    deltas[17, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_prefixes(draws_of(deltas), 0.1, (2, 5))
+    with pytest.raises(ValueError, match="finite"):
+        calibrate(draws_of(deltas), 0.1)
 
 
 def test_calibrate_prefixes_leaves_draws_unchanged():
