@@ -2,8 +2,8 @@
 
 Both schemes compute deltas = W @ (V - v_bar) / P, where V is the P x T
 matrix of local estimator values, v_bar its pinned row mean and W a
-B x P weight matrix: resample counts of P draws with replacement
-(empirical) or i.i.d. weights of mean 1 and variance 1 (multiplier).
+B x P weight matrix, one law per scheme: resample counts of P draws
+with replacement (empirical) or i.i.d. N(1, 1) weights (multiplier).
 Centring makes the deltas invariant to shifting every local prediction
 by a constant.  A column whose P values are all equal is centred to
 exactly zero, so its deltas are exactly zero and calibration flags it
@@ -19,7 +19,6 @@ import numpy as np
 from .dnc import LocalPredictionMatrix
 
 SCHEMES = ("empirical", "multiplier")
-MULTIPLIER_DISTRIBUTIONS = ("gaussian", "poisson")
 
 
 @dataclass(frozen=True)
@@ -63,32 +62,18 @@ def empirical_draws(matrix: LocalPredictionMatrix, n_replicates: int, seed) -> B
     return BootstrapDraws(resample_deltas(matrix.values, matrix.row_mean, idx))
 
 
-def multiplier_draws(
-    matrix: LocalPredictionMatrix,
-    n_replicates: int,
-    seed,
-    dist: str = "gaussian",
-) -> BootstrapDraws:
-    """Reweight the centred local rows with i.i.d. weights, mean 1 and variance 1."""
+def multiplier_draws(matrix: LocalPredictionMatrix, n_replicates: int, seed) -> BootstrapDraws:
+    """Reweight the centred local rows with i.i.d. N(1, 1) weights."""
     if n_replicates < 1:
         raise ValueError(f"replicate count must be positive, got {n_replicates}")
-    if dist not in MULTIPLIER_DISTRIBUTIONS:
-        raise ValueError(
-            f"multiplier distribution must be one of {MULTIPLIER_DISTRIBUTIONS}, got {dist!r}"
-        )
-    rng = np.random.default_rng(seed)
-    size = (n_replicates, matrix.partitions)
-    if dist == "gaussian":
-        w = rng.normal(1.0, 1.0, size=size)
-    else:
-        w = rng.poisson(1.0, size=size).astype(np.float64)
+    w = np.random.default_rng(seed).normal(1.0, 1.0, size=(n_replicates, matrix.partitions))
     return BootstrapDraws(_weighted_deltas(matrix.values, matrix.row_mean, w))
 
 
-def draw(matrix, n_replicates: int, seed, scheme: str, multiplier: str) -> BootstrapDraws:
-    """Draws of ``scheme``; ``multiplier`` is the multiplier scheme's distribution."""
+def draw(matrix, n_replicates: int, seed, scheme: str) -> BootstrapDraws:
+    """Draws of ``scheme``, one of SCHEMES."""
     if scheme == "empirical":
         return empirical_draws(matrix, n_replicates, seed)
     if scheme == "multiplier":
-        return multiplier_draws(matrix, n_replicates, seed, multiplier)
+        return multiplier_draws(matrix, n_replicates, seed)
     raise ValueError(f"bootstrap scheme must be one of {SCHEMES}, got {scheme!r}")

@@ -154,9 +154,7 @@ def cmd_bands(cfg: RunConfig, data_path) -> list:
             f"{RESOLUTION_GUARD / cfg.alpha:.0f} for alpha={cfg.alpha}"
         )
     matrix, points, s_boot = _fit_pipeline(cfg, data_path)
-    draws = bootstrap_mod.draw(
-        matrix, cfg.bootstrap_replicates, s_boot, cfg.bootstrap_scheme, cfg.bootstrap_multiplier
-    )
+    draws = bootstrap_mod.draw(matrix, cfg.bootstrap_replicates, s_boot, cfg.bootstrap_scheme)
     calibrated = bands_mod.calibrate(draws, cfg.alpha)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "bands.csv")
@@ -170,8 +168,7 @@ def cmd_coverage(cfg: RunConfig) -> list:
     report = simulation.run_coverage_grid(
         dgp, cfg.grid_p, cfg.grid_t, cfg.alpha, cfg.bootstrap_replicates, cfg.grid_trials,
         cfg.seed, kernel=kernel, r_prime=cfg.penalty_r_prime,
-        schedule_c=cfg.penalty_c, scheme=cfg.bootstrap_scheme,
-        multiplier=cfg.bootstrap_multiplier, threads=cfg.threads,
+        schedule_c=cfg.penalty_c, scheme=cfg.bootstrap_scheme, threads=cfg.threads,
     )
     header = ["p", "t", "trials", "hits", "coverage", "ci_lo", "ci_hi"]
     rows = [(c.partitions, c.points, c.trials, c.hits, c.coverage, *c.ci99) for c in report.cells]
@@ -345,7 +342,7 @@ def main(argv=None) -> int:
             written = command(cfg, args.data)
         else:
             written = command(cfg)
-    except (OSError, ValueError) as exc:  # ConfigError, DataError and file errors included
+    except (OSError, ValueError, dnc.PartitionFitError) as exc:  # config, data, file, fit errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -28,7 +28,7 @@ import hashlib
 import typing
 from dataclasses import dataclass
 
-from .bootstrap import MULTIPLIER_DISTRIBUTIONS, SCHEMES
+from .bootstrap import SCHEMES
 from .kernels import KernelSpec
 from .simulation import DgpSpec
 
@@ -52,7 +52,6 @@ class RunConfig:
     alpha: float = 0.05
     bootstrap_replicates: int = 1000
     bootstrap_scheme: str = "empirical"
-    bootstrap_multiplier: str = "gaussian"
     seed: int = 20250801
     output_dir: str = "out"
     dgp_n: int = 4096
@@ -160,10 +159,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"bootstrap.replicates must be positive, got {cfg.bootstrap_replicates}")
     if cfg.bootstrap_scheme not in SCHEMES:
         raise ConfigError(f"bootstrap.scheme must be one of {SCHEMES}, got {cfg.bootstrap_scheme!r}")
-    if cfg.bootstrap_multiplier not in MULTIPLIER_DISTRIBUTIONS:
-        raise ConfigError(
-            f"bootstrap.multiplier must be one of {MULTIPLIER_DISTRIBUTIONS}, got {cfg.bootstrap_multiplier!r}"
-        )
     if not cfg.grid_p or any(p < 1 for p in cfg.grid_p):
         raise ConfigError(f"grid.p must be positive integers, got {cfg.grid_p}")
     if not cfg.grid_t or any(t < 1 for t in cfg.grid_t):

@@ -97,8 +97,7 @@ def _trial_matrix(dgp, n_points, n_partitions, kernel, rho, trial_seed):
     return matrix, truth, s_boot
 
 
-def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates,
-                scheme, multiplier, trial_seed):
+def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates, scheme, trial_seed):
     """Run the pipeline once at max(points) prediction points.
 
     Each T in points is calibrated on the first T columns of the shared
@@ -107,7 +106,7 @@ def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates,
     matrix, truth, s_boot = _trial_matrix(
         dgp, max(points), n_partitions, kernel, rho, trial_seed
     )
-    draws = bootstrap_mod.draw(matrix, n_replicates, s_boot, scheme, multiplier)
+    draws = bootstrap_mod.draw(matrix, n_replicates, s_boot, scheme)
     calibrated = bands_mod.calibrate_prefixes(draws, alpha, points)
     return tuple(
         bands_mod.covers(bands_mod.band_intervals(cal, matrix.row_mean[:t]), truth[:t])
@@ -127,7 +126,6 @@ def run_coverage_row(
     r_prime: float = 0.5,
     schedule_c: float = 1.0,
     scheme: str = "empirical",
-    multiplier: str = "gaussian",
     threads: int = 1,
 ) -> tuple[tuple[int, ...], int]:
     """Monte Carlo hit counts for one P and every T in points.
@@ -145,19 +143,13 @@ def run_coverage_row(
         raise ValueError("points must hold at least one prediction set size")
     if scheme not in bootstrap_mod.SCHEMES:
         raise ValueError(f"bootstrap scheme must be one of {bootstrap_mod.SCHEMES}, got {scheme!r}")
-    if multiplier not in bootstrap_mod.MULTIPLIER_DISTRIBUTIONS:
-        # checked whatever the scheme, as validate_config does, before any fit
-        raise ValueError(
-            f"multiplier distribution must be one of {bootstrap_mod.MULTIPLIER_DISTRIBUTIONS}, "
-            f"got {multiplier!r}"
-        )
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if trials == 0:
         return (0,) * len(points), 0
     rho = krr.penalty_schedule(dgp.n, kernel.decay_exponent(1), r_prime, schedule_c)
     one = functools.partial(
-        _band_trial, dgp, points, n_partitions, kernel, rho, alpha, n_replicates, scheme, multiplier
+        _band_trial, dgp, points, n_partitions, kernel, rho, alpha, n_replicates, scheme
     )
     flags = dnc.ordered_map(one, _as_seedseq(seed).spawn(trials), threads)
     return tuple(int(sum(col)) for col in zip(*flags)), trials
@@ -315,13 +307,13 @@ def rate_study(
     sizes = list(sizes)
     size_seeds = _as_seedseq(seed).spawn(len(sizes))
 
-    medians = []
-    p_used = []
-    for n_total, s_n in zip(sizes, size_seeds):
-        n_partitions = power_of_two_sqrt(n_total)
+    p_used = [power_of_two_sqrt(n_total) for n_total in sizes]
+    for n_total, n_partitions in zip(sizes, p_used):
         if n_total % n_partitions != 0:
             raise ValueError(f"partition rule gave P={n_partitions} for N={n_total}, not a divisor")
-        p_used.append(n_partitions)
+
+    medians = []
+    for n_total, n_partitions, s_n in zip(sizes, p_used, size_seeds):
         dgp = DgpSpec(n_total, table)
         truth = dgp.f_star(grid[:, 0])
         rho = krr.penalty_schedule(n_total, kernel.decay_exponent(1), r_prime, schedule_c)

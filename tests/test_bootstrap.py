@@ -13,12 +13,8 @@ def matrix_from(values):
 
 
 def draw_all_schemes(matrix, b, seed):
-    """Deltas of the empirical scheme and of both multiplier distributions."""
-    return [
-        empirical_draws(matrix, b, seed).deltas,
-        multiplier_draws(matrix, b, seed, "gaussian").deltas,
-        multiplier_draws(matrix, b, seed, "poisson").deltas,
-    ]
+    """Deltas of the empirical and the multiplier scheme."""
+    return [empirical_draws(matrix, b, seed).deltas, multiplier_draws(matrix, b, seed).deltas]
 
 
 def test_single_partition_deltas_exactly_zero():
@@ -124,13 +120,12 @@ def test_multiplier_identical_rows_are_scalar_multiples():
     # are exactly identical give s_b = 0
     v = np.array([0.4, -1.1, 2.2])
     c = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    for dist in ("gaussian", "poisson"):
-        draws = multiplier_draws(matrix_from(np.outer(c, v)), 100, seed=5, dist=dist)
-        ratios = draws.deltas / v
-        assert np.allclose(ratios, ratios[:, [0]], rtol=1e-10, atol=1e-12)
-        assert np.any(ratios[:, 0] != 0.0)
-        identical = multiplier_draws(matrix_from(np.tile(v, (5, 1))), 100, seed=5, dist=dist)
-        assert np.all(identical.deltas / v == 0.0)
+    draws = multiplier_draws(matrix_from(np.outer(c, v)), 100, seed=5)
+    ratios = draws.deltas / v
+    assert np.allclose(ratios, ratios[:, [0]], rtol=1e-10, atol=1e-12)
+    assert np.any(ratios[:, 0] != 0.0)
+    identical = multiplier_draws(matrix_from(np.tile(v, (5, 1))), 100, seed=5)
+    assert np.all(identical.deltas / v == 0.0)
 
 
 def test_multiplier_single_partition_identity():
@@ -138,19 +133,17 @@ def test_multiplier_single_partition_identity():
     # for every weight w: the bootstrap carries no spread
     v = np.array([2.0, -3.0, 0.1])
     matrix = matrix_from([v])
-    for dist in ("gaussian", "poisson"):
-        draws = multiplier_draws(matrix, 2000, seed=6, dist=dist)
-        assert draws.deltas.shape == (2000, 3)
-        assert np.all(draws.deltas == 0.0)
-        assert np.all(draws.deltas.mean(axis=0) == 0.0)
-        assert np.all(draws.deltas.std(axis=0, ddof=1) == 0.0)
+    draws = multiplier_draws(matrix, 2000, seed=6)
+    assert draws.deltas.shape == (2000, 3)
+    assert np.all(draws.deltas == 0.0)
+    assert np.all(draws.deltas.mean(axis=0) == 0.0)
+    assert np.all(draws.deltas.std(axis=0, ddof=1) == 0.0)
 
 
 def test_multiplier_zero_matrix_gives_zero_deltas():
     matrix = matrix_from(np.zeros((6, 3)))
-    for dist in ("gaussian", "poisson"):
-        draws = multiplier_draws(matrix, 64, seed=7, dist=dist)
-        assert np.all(draws.deltas == 0.0)
+    draws = multiplier_draws(matrix, 64, seed=7)
+    assert np.all(draws.deltas == 0.0)
 
 
 def test_multiplier_variance_closed_form():
@@ -165,15 +158,19 @@ def test_multiplier_variance_closed_form():
     assert draws.deltas[:, 0].var() == pytest.approx(expected, rel=0.05)
 
 
-def test_poisson_multiplier_variance_closed_form():
-    rng = np.random.default_rng(18)
-    p = 32
-    values = rng.normal(size=(p, 1))
-    values -= values.mean(axis=0)
+def test_multiplier_weights_are_the_gaussian_stream_bit_for_bit():
+    # W = default_rng(seed).normal(1, 1, (B, P)) and deltas = W @ C / P,
+    # where C is V - v_bar with its constant columns set to exactly 0
+    rng = np.random.default_rng(23)
+    values = rng.normal(size=(7, 5))
+    values[:, 2] = 0.1  # a constant column
     matrix = matrix_from(values)
-    draws = multiplier_draws(matrix, 10**5, seed=19, dist="poisson")
-    expected = np.sum(values**2) / p**2
-    assert draws.deltas[:, 0].var() == pytest.approx(expected, rel=0.05)
+    centered = values - matrix.row_mean
+    centered[:, 2] = 0.0
+    for b, seed in ((1, 0), (300, 24), (1000, np.random.SeedSequence(25))):
+        want = np.random.default_rng(seed).normal(1.0, 1.0, (b, 7)) @ centered / 7
+        got = multiplier_draws(matrix, b, seed).deltas
+        assert got.tobytes() == want.tobytes()
 
 
 def test_empirical_and_multiplier_sds_agree():
@@ -215,18 +212,14 @@ def test_replicate_count_validation():
     matrix = matrix_from([[1.0]])
     with pytest.raises(ValueError):
         empirical_draws(matrix, 0, seed=0)
-    with pytest.raises(ValueError):
-        multiplier_draws(matrix, 10, seed=0, dist="rademacher")
+    with pytest.raises(ValueError, match="replicate count"):
+        multiplier_draws(matrix, 0, seed=0)
 
 
 def test_draw_dispatches_to_the_scheme_bit_for_bit():
     matrix = matrix_from(np.random.default_rng(18).normal(size=(6, 5)))
-    dispatched = [
-        draw(matrix, 300, 19, "empirical", "poisson"),
-        draw(matrix, 300, 19, "multiplier", "gaussian"),
-        draw(matrix, 300, 19, "multiplier", "poisson"),
-    ]
+    dispatched = [draw(matrix, 300, 19, scheme) for scheme in bootstrap.SCHEMES]
     for got, want in zip(dispatched, draw_all_schemes(matrix, 300, 19)):
         assert np.array_equal(got.deltas, want)
     with pytest.raises(ValueError, match="scheme"):
-        draw(matrix, 300, 19, "emprical", "gaussian")
+        draw(matrix, 300, 19, "emprical")

@@ -51,7 +51,6 @@ def test_config_round_trip_is_identity():
 
 PUBLIC_KEYS = [
     "alpha",
-    "bootstrap.multiplier",
     "bootstrap.replicates",
     "bootstrap.scheme",
     "dgp.n",
@@ -84,7 +83,8 @@ def test_config_keys_are_the_documented_set():
     assert sorted(keys) == PUBLIC_KEYS
     # removed keys are rejected like any unknown key
     for line in ("kernel.family = matern\n", "grid.full_scale = true\n",
-                 "kernel.output_scale = 1.0\n", "dgp.true_function = table\n"):
+                 "kernel.output_scale = 1.0\n", "dgp.true_function = table\n",
+                 "bootstrap.multiplier = gaussian\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
 
@@ -186,7 +186,7 @@ def test_config_hash_covers_the_table():
 
 def test_default_config_hash():
     # changes only when a key is added, removed or given a new default
-    assert config_hash(RunConfig()) == "2b08ac83fe6b"
+    assert config_hash(RunConfig()) == "362509999103"
 
 
 def test_full_scale_grid_dimensions():
@@ -198,6 +198,12 @@ def test_full_scale_grid_dimensions():
     assert cfg.grid_p == tuple(2**k for k in range(6, 13))
     assert cfg.grid_t == tuple(2**k for k in range(1, 10))
     assert cfg.grid_trials == 2000
+
+
+def test_resolving_lengthscale_grid_is_the_full_scale_grid_at_lengthscale_0_2():
+    literal = parse_config_text((DEMOS / "full_scale.cfg").read_text(encoding="utf-8"))
+    resolving = parse_config_text((DEMOS / "full_scale_ls02.cfg").read_text(encoding="utf-8"))
+    assert resolving == {**literal, "kernel.lengthscale": 0.2}
 
 
 def test_read_data_csv_errors(tmp_path):
@@ -286,6 +292,22 @@ def test_cmd_fit_reports_malformed_row(tmp_path, capsys):
     code = run_cli(["fit", "--data", data, "--out", tmp_path / "o", "--partitions", 1])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "coverage"])
+def test_failed_partition_fit_exits_2_with_a_message(tmp_path, capsys, command):
+    # at penalty.c = 1e-20 every jitter of the ladder fails: on fit's 8
+    # covariates, each repeated 4 times, and on coverage's 64-row partitions
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n" + "".join(f"{i / 7},{j / 10}\n" for i in range(8) for j in range(4)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("penalty.c = 1e-20\ndgp.n = 256\ngrid.p = 4\ngrid.trials = 2\n")
+    argv = {
+        "fit": ["fit", "--data", data, "--partitions", 1],
+        "coverage": ["coverage"],
+    }[command]
+    assert run_cli([*argv, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: fit failed on partition 0: ")
 
 
 def test_cmd_fit_divisibility_error(tmp_path, capsys):

@@ -137,23 +137,6 @@ def test_negative_trials_are_rejected_before_any_fit(monkeypatch, run, trials):
         run(trials=trials)
 
 
-@pytest.mark.parametrize("scheme", ["empirical", "multiplier"])
-def test_unknown_multiplier_is_rejected_before_any_fit(monkeypatch, scheme):
-    # the rule validate_config applies: the distribution is checked whatever the scheme
-    calls = []
-    fit_all = dnc.fit_all_partitions
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fit_all(*args, **kwargs)
-
-    monkeypatch.setattr(dnc, "fit_all_partitions", counted)
-    with pytest.raises(ValueError, match="multiplier distribution"):
-        run_coverage_row(DgpSpec(64), 4, (2,), 0.1, 50, 5, seed=0, scheme=scheme,
-                         multiplier="rademacher")
-    assert calls == []
-
-
 @pytest.mark.parametrize("threads", [0, -3])
 @pytest.mark.parametrize("run", [
     lambda threads: fit_all_partitions(
@@ -295,6 +278,21 @@ def test_rate_study_small_run_structure():
 def test_rate_study_rejects_zero_reps():
     with pytest.raises(ValueError, match="reps"):
         rate_study([256], 0.5, reps=0, seed=6)
+
+
+def test_rate_study_checks_every_partition_rule_before_any_fit(monkeypatch):
+    # N=1024 is fine (P=32); N=1000 is not, and must fail before N=1024 is fitted
+    calls = []
+    fit_all = dnc.fit_all_partitions
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit_all(*args, **kwargs)
+
+    monkeypatch.setattr(dnc, "fit_all_partitions", counted)
+    with pytest.raises(ValueError, match="partition rule gave P=32 for N=1000"):
+        rate_study((1024, 1000), 0.5, 3, 0)
+    assert calls == []
 
 
 def test_rate_study_thread_invariant():
