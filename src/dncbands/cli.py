@@ -53,6 +53,7 @@ def read_csv(path, with_y: bool) -> np.ndarray:
     """
     width = None
     rows = []
+    linenos = []  # file line of each row, for the non-finite check
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
@@ -73,9 +74,14 @@ def read_csv(path, with_y: bool) -> np.ndarray:
                 rows.append([float(p) for p in parts])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: line {linenos[bad[0]]}: non-finite field")
+    return data
 
 
 def read_data_csv(path):
@@ -172,39 +178,11 @@ def cmd_coverage(cfg: RunConfig) -> list:
     )
     header = ["p", "t", "trials", "hits", "coverage", "ci_lo", "ci_hi"]
     rows = [(c.partitions, c.points, c.trials, c.hits, c.coverage, *c.ci99) for c in report.cells]
-    diag_header, diag = [], {}
-    if cfg.diagnostics_enabled:
-        diag_header = ["variance_proxy", "g_rho_est"]
-        diag = _cell_diagnostics(cfg, dgp, kernel)
-    out = _write_csv(
-        cfg, "coverage.csv", header + diag_header,
-        [row + diag.get(row[:2], ()) for row in rows], note=" axes=log2(P),log2(T),coverage",
-    )
+    out = _write_csv(cfg, "coverage.csv", header, rows, note=" axes=log2(P),log2(T),coverage")
     print(",".join(header))
     for row in rows:
         print(*row[:4], *(f"{v:.4f}" for v in row[4:]), sep=",")
     return [out]
-
-
-def _cell_diagnostics(cfg, dgp, kernel) -> dict:
-    """(P, T) -> (variance proxy, estimated proxy-to-noise ratio)."""
-    model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
-    rho = krr.penalty_schedule(
-        dgp.n, kernel.decay_exponent(1), cfg.penalty_r_prime, cfg.penalty_c
-    )
-    row_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid_p))
-    diag = {}
-    for p, row_seed in zip(cfg.grid_p, row_seeds):
-        s = dgp.n // p
-        proxy = diag_mod.variance_proxy(model, s, rho)
-        # re-derive the first trial of the row, at max(T), for the empirical floor
-        trial_seed = row_seed.spawn(1)[0]
-        matrix, _, _ = simulation._trial_matrix(dgp, max(cfg.grid_t), p, kernel, rho, trial_seed)
-        for t in cfg.grid_t:
-            head = dnc.LocalPredictionMatrix.from_values(matrix.values[:, :t])
-            g_est = diag_mod.g_ratio_estimate(head, model, s, rho) if p > 1 else float("inf")
-            diag[(p, t)] = (proxy, g_est)
-    return diag
 
 
 def cmd_rate(cfg: RunConfig) -> list:

@@ -61,7 +61,6 @@ class RunConfig:
     grid_trials: int = 500
     rate_ns: tuple[int, ...] = (1024, 2048, 4096, 8192, 16384)
     rate_reps: int = 20
-    diagnostics_enabled: bool = False
     diagnostics_truncation: int = 10000
     diagnostics_rhos: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
     threads: int = 1
@@ -80,13 +79,6 @@ EXECUTION_ONLY_KEYS = ("threads", "output.dir")
 
 def _parse_value(key: str, kind, raw: str):
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         if kind == tuple[tuple[float, float], ...]:
             pairs = []
             for item in raw.split(";"):
@@ -105,8 +97,6 @@ def _parse_value(key: str, kind, raw: str):
 
 
 def _format_value(kind, value) -> str:
-    if kind is bool:
-        return "true" if value else "false"
     if kind is float:
         return repr(float(value))
     if kind == tuple[int, ...]:
@@ -177,8 +167,17 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"diagnostics.truncation must be positive, got {cfg.diagnostics_truncation}")
     if any(r <= 0 for r in cfg.diagnostics_rhos):
         raise ConfigError(f"diagnostics.rhos must be positive, got {cfg.diagnostics_rhos}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
+    # last, so a range check above that also fails keeps its message;
+    # abs(v) < inf is false for nan and for either infinity
+    for key, (name, kind) in KEYS.items():
+        if kind in (float, tuple[float, ...]):
+            value = getattr(cfg, name)
+            if not all(abs(v) < float("inf") for v in ((value,) if kind is float else value)):
+                raise ConfigError(f"{key} must be finite, got {value}")
     return cfg
 
 

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dnc import LocalPredictionMatrix
 from .kernels import SpectralModel, effective_dimension
 
 
@@ -112,21 +111,3 @@ def variance_proxy(model: SpectralModel, n: int, rho: float) -> float:
         raise ValueError(f"n must be positive, got {n}")
     t_rho = effective_dimension(model, rho)
     return float(np.sqrt(t_rho / (n * rho ** (1.0 / model.decay_exponent))))
-
-
-def g_ratio_estimate(
-    matrix: LocalPredictionMatrix, model: SpectralModel, n: int, rho: float
-) -> float:
-    """Variance proxy over an empirical noise floor, as a rough estimate.
-
-    The theoretical floor is not computable; the smallest across-partition
-    standard deviation of the local predictions stands in for it, so the
-    value is an estimate, not a bound.
-    """
-    if matrix.partitions < 2:
-        raise ValueError("at least two partitions are needed for the estimate")
-    sds = matrix.values.std(axis=0, ddof=1)
-    floor = float(np.min(sds))
-    if floor == 0.0:
-        return float("inf")
-    return variance_proxy(model, n, rho) / floor

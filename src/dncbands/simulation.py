@@ -84,28 +84,18 @@ def generate_trial(dgp: DgpSpec, n_points: int, seed):
     return krr.Sample(x, y), x_tilde, truth
 
 
-def _trial_matrix(dgp, n_points, n_partitions, kernel, rho, trial_seed):
-    """Draw one trial and fit it: (local matrix, truth, bootstrap seed).
-
-    The trial seed spawns the data, plan and bootstrap seeds in that
-    order, so every caller re-deriving a trial gets the same one.
-    """
-    s_data, s_plan, s_boot = trial_seed.spawn(3)
-    sample, x_tilde, truth = generate_trial(dgp, n_points, s_data)
-    plan = dnc.make_partition_plan(dgp.n, n_partitions, s_plan)
-    matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, x_tilde)
-    return matrix, truth, s_boot
-
-
 def _band_trial(dgp, points, n_partitions, kernel, rho, alpha, n_replicates, scheme, trial_seed):
     """Run the pipeline once at max(points) prediction points.
 
-    Each T in points is calibrated on the first T columns of the shared
+    The trial seed spawns the data, plan and bootstrap seeds in that
+    order, so every caller re-deriving a trial gets the same one.  Each
+    T in points is calibrated on the first T columns of the shared
     deltas, row mean and truth.  Returns one covered flag per T.
     """
-    matrix, truth, s_boot = _trial_matrix(
-        dgp, max(points), n_partitions, kernel, rho, trial_seed
-    )
+    s_data, s_plan, s_boot = trial_seed.spawn(3)
+    sample, x_tilde, truth = generate_trial(dgp, max(points), s_data)
+    plan = dnc.make_partition_plan(dgp.n, n_partitions, s_plan)
+    matrix = dnc.fit_all_partitions(sample, plan, kernel, rho, x_tilde)
     draws = bootstrap_mod.draw(matrix, n_replicates, s_boot, scheme)
     calibrated = bands_mod.calibrate_prefixes(draws, alpha, points)
     return tuple(

@@ -15,6 +15,9 @@ from dncbands.config import (
     parse_config_text,
     serialize_config,
 )
+from dncbands.diagnostics import variance_proxy
+from dncbands.kernels import KernelSpec, SpectralModel
+from dncbands.krr import penalty_schedule
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -38,7 +41,6 @@ def test_config_round_trip_is_identity():
             "alpha": 0.1,
             "grid.p": (8, 16),
             "kernel.lengthscale": 0.2,
-            "diagnostics.enabled": True,
             "prediction.path": "",
             "dgp.table": ((0.0, 0.0), (0.25, -1.5), (1.0, 1e-3)),
             "diagnostics.rhos": (0.1, 2.5e-7),
@@ -55,7 +57,6 @@ PUBLIC_KEYS = [
     "bootstrap.scheme",
     "dgp.n",
     "dgp.table",
-    "diagnostics.enabled",
     "diagnostics.rhos",
     "diagnostics.truncation",
     "grid.p",
@@ -84,7 +85,7 @@ def test_config_keys_are_the_documented_set():
     # removed keys are rejected like any unknown key
     for line in ("kernel.family = matern\n", "grid.full_scale = true\n",
                  "kernel.output_scale = 1.0\n", "dgp.true_function = table\n",
-                 "bootstrap.multiplier = gaussian\n"):
+                 "bootstrap.multiplier = gaussian\n", "diagnostics.enabled = true\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line)
 
@@ -186,7 +187,7 @@ def test_config_hash_covers_the_table():
 
 def test_default_config_hash():
     # changes only when a key is added, removed or given a new default
-    assert config_hash(RunConfig()) == "362509999103"
+    assert config_hash(RunConfig()) == "f96315c05382"
 
 
 def test_full_scale_grid_dimensions():
@@ -231,6 +232,12 @@ def test_read_data_csv_errors(tmp_path):
         with pytest.raises(ValueError, match="line 5"):
             read_csv(commented, with_y)
 
+        # parsed floats that are not finite are rejected like non-numbers
+        non_finite = tmp_path / f"{name}_f.csv"
+        non_finite.write_text(f"{header}\n0.1,2.0\n0.2,-inf\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            read_csv(non_finite, with_y)
+
         header_only = tmp_path / f"{name}_e.csv"
         header_only.write_text(f"{header}\n")
         with pytest.raises(ValueError, match="no data rows"):
@@ -268,8 +275,7 @@ def test_cmd_fit_shapes(tmp_path, capsys):
 
 
 def test_cmd_fit_single_partition_matches_library(tmp_path):
-    from dncbands.kernels import KernelSpec
-    from dncbands.krr import Sample, fit, penalty_schedule, predict
+    from dncbands.krr import Sample, fit, predict
 
     data = tmp_path / "data.csv"
     x, y = write_training_csv(data, n=8, seed=3)
@@ -401,61 +407,6 @@ def test_cmd_coverage_writes_grid(tmp_path, capsys):
     assert "wrote" in printed and "coverage.csv" in printed
 
 
-def test_cmd_coverage_with_diagnostics_columns(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "dgp.n = 256\ngrid.p = 8\ngrid.t = 2\ngrid.trials = 2\n"
-        "bootstrap.replicates = 200\nkernel.lengthscale = 0.2\nseed = 4\n"
-        "diagnostics.enabled = true\ndiagnostics.truncation = 100\n"
-    )
-    out = tmp_path / "o"
-    assert run_cli(["coverage", "--config", cfg, "--out", out]) == 0
-    lines = (out / "coverage.csv").read_text().splitlines()
-    assert lines[1] == "p,t,trials,hits,coverage,ci_lo,ci_hi,variance_proxy,g_rho_est"
-    row = lines[2].split(",")
-    assert float(row[7]) > 0 and float(row[8]) > 0
-
-
-def test_cmd_coverage_diagnostics_g_ratio_rises_in_t(tmp_path):
-    # the cells of a row read nested column sets of one matrix, so the
-    # smallest sd (the estimate's denominator) cannot rise with T
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "dgp.n = 256\ngrid.p = 4,8\ngrid.t = 16,2,4\ngrid.trials = 1\n"
-        "bootstrap.replicates = 200\nkernel.lengthscale = 0.2\nseed = 5\n"
-        "diagnostics.enabled = true\ndiagnostics.truncation = 100\n"
-    )
-    out = tmp_path / "o"
-    assert run_cli(["coverage", "--config", cfg, "--out", out]) == 0
-    rows = [line.split(",") for line in (out / "coverage.csv").read_text().splitlines()[2:]]
-    for p in ("4", "8"):
-        g = [float(r[8]) for r in sorted((r for r in rows if r[0] == p), key=lambda r: int(r[1]))]
-        assert len(g) == 3 and all(np.isfinite(g))
-        assert g[0] <= g[1] <= g[2]
-
-
-def test_cmd_coverage_diagnostics_bootstrap_only_the_trials(tmp_path, monkeypatch):
-    # diagnostics re-fit trial 0 of each row for its local matrix, with no bootstrap
-    from dncbands import bootstrap
-
-    calls = []
-    draw = bootstrap.empirical_draws
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return draw(*args, **kwargs)
-
-    monkeypatch.setattr(bootstrap, "empirical_draws", counted)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "dgp.n = 256\ngrid.p = 4,8\ngrid.t = 2,4\ngrid.trials = 3\n"
-        "bootstrap.replicates = 100\nkernel.lengthscale = 0.2\nseed = 6\n"
-        "diagnostics.enabled = true\ndiagnostics.truncation = 100\n"
-    )
-    assert run_cli(["coverage", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert len(calls) == 2 * 3
-
-
 def test_cmd_fit_two_dimensional_covariates(tmp_path):
     data = tmp_path / "data.csv"
     write_training_csv(data, n=9, d=2, seed=12)
@@ -509,6 +460,11 @@ def test_cmd_dry_run_rejects_a_grid_coverage_rejects(tmp_path, capsys):
         "dgp.table = 1:0; 0:1; 0.5:2\n": "strictly increasing",
         "dgp.table = 0:0; 0:1\n": "strictly increasing",
         "dgp.table = 0:nan; 1:0\n": "finite",
+        "seed = -1\n": "seed must be a non-negative integer, got -1",
+        # a non-finite float fails its range check if it has one, else this
+        "alpha = nan\n": "alpha must lie inside (0, 1), got nan",
+        "penalty.c = inf\n": "penalty.c must be finite, got inf",
+        "diagnostics.rhos = 1e-3, nan\n": "diagnostics.rhos must be finite, got (0.001, nan)",
     }
     cfg = tmp_path / "run.cfg"
     for text, message in configs.items():
@@ -574,6 +530,10 @@ def test_cmd_diagnostics_rejects_partitions_not_dividing_n(tmp_path, capsys):
     proxy = [ln for ln in (out / "diagnostics.csv").read_text().splitlines()
              if ln.startswith("variance_proxy,")]
     assert proxy[0].split(",")[1] == "25"
+    kernel = KernelSpec()
+    rho = penalty_schedule(100, kernel.decay_exponent(1), 0.5, 1.0)
+    expected = variance_proxy(SpectralModel.from_matern(kernel, 1, 10), 25, rho)
+    assert float(proxy[0].split(",")[2]) == expected
 
 
 def test_output_dir_created_and_env_default(tmp_path, monkeypatch):

@@ -6,10 +6,8 @@ from dncbands.diagnostics import (
     check_interpolation_inequality,
     check_trace_bound,
     cosine_basis,
-    g_ratio_estimate,
     variance_proxy,
 )
-from dncbands.dnc import LocalPredictionMatrix
 from dncbands.kernels import SpectralModel
 
 GRID = np.linspace(0.0, 1.0, 2048)
@@ -137,19 +135,3 @@ def test_variance_proxy_vs_simplified_bound():
         simplified = 1.0 / np.sqrt(100 * float(rho) ** (2.0 / 8.0))
         ratio = variance_proxy(model, 100, float(rho)) / simplified
         assert 0.01 <= ratio <= 1.0
-
-
-def test_g_ratio_estimate():
-    model = SpectralModel(8.0, 100)
-    values = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 8.0]])
-    matrix = LocalPredictionMatrix.from_values(values)
-    floor = values.std(axis=0, ddof=1).min()
-    expected = variance_proxy(model, 50, 1e-3) / floor
-    assert g_ratio_estimate(matrix, model, 50, 1e-3) == pytest.approx(expected, rel=1e-12)
-
-
-def test_g_ratio_estimate_needs_two_partitions():
-    model = SpectralModel(8.0, 10)
-    matrix = LocalPredictionMatrix.from_values(np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        g_ratio_estimate(matrix, model, 10, 1e-3)
