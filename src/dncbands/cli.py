@@ -48,40 +48,54 @@ class DataError(ValueError):
 def read_csv(path, with_y: bool) -> np.ndarray:
     """Numeric CSV with header x1..xd, plus a trailing y column if with_y.
 
-    Returns the (rows, columns) float array; blank and ``#`` lines are
-    skipped, and errors give the line's number in the file.
+    Returns the (rows, columns) float array.  The file is UTF-8, with or
+    without a byte-order mark; ``#`` starts a comment and blank lines are
+    skipped.  numpy's C reader parses the rows; if it fails, float() per
+    field finds the error, which names the file's path and line.
     """
-    width = None
-    rows = []
-    linenos = []  # file line of each row, for the non-finite check
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        return _read_csv(path, with_y, scan=False)
+    except ValueError:
+        return _read_csv(path, with_y, scan=True)
+
+
+def _read_csv(path, with_y: bool, scan: bool) -> np.ndarray:
+    """One pass of read_csv: numpy's reader after the header, or a scan with float()."""
+    from itertools import chain
+    from math import isfinite
+    width, rows = None, []
+    with open(path, encoding="utf-8-sig", errors="surrogateescape" if scan else "strict") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
+            try:  # a scan reads a byte that is not UTF-8 as a lone surrogate
+                line.encode(errors="surrogateescape").decode()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            line = line.rstrip()
+            text = line.partition("#")[0]
+            if not text.strip():
                 continue
-            line = line.rstrip("\n")
-            parts = [p.strip() for p in line.split(",")]
+            parts = [p.strip() for p in text.split(",")]
             if width is None:
-                width = len(parts)
-                dim = width - 1 if with_y else width
-                expected = [f"x{j + 1}" for j in range(dim)] + (["y"] if with_y else [])
-                if dim < 1 or parts != expected:
-                    names = "x1..xd,y" if with_y else "x1..xd"
-                    raise DataError(f"{path}: header must be {names}, got {line!r}")
+                width, dim = len(parts), len(parts) - with_y
+                if dim < 1 or parts != [f"x{j + 1}" for j in range(dim)] + ["y"] * with_y:
+                    raise DataError(f"{path}: header must be x1..xd{',y' * with_y}, got {line!r}")
                 continue
+            if not scan:  # this row and the rest of the file
+                data = np.loadtxt(chain([line], fh), delimiter=",", ndmin=2)
+                if data.shape[1] != width or not np.isfinite(data).all():
+                    raise ValueError("ragged or non-finite rows")
+                return data
             if len(parts) != width:
                 raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-            linenos.append(lineno)
+            if not all(map(isfinite, rows[-1])):
+                raise DataError(f"{path}: line {lineno}: non-finite field")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: line {linenos[bad[0]]}: non-finite field")
-    return data
+    return np.asarray(rows, dtype=np.float64)
 
 
 def read_data_csv(path):
@@ -153,6 +167,8 @@ def cmd_fit(cfg: RunConfig, data_path) -> list:
 
 
 def cmd_bands(cfg: RunConfig, data_path) -> list:
+    if cfg.partitions < 2:  # one local fit: every bootstrap delta is 0
+        raise ConfigError(f"bands needs partitions >= 2 to bootstrap, got {cfg.partitions}")
     if cfg.bootstrap_replicates < RESOLUTION_GUARD / cfg.alpha:
         raise ConfigError(
             f"bootstrap.replicates={cfg.bootstrap_replicates} is below the "
@@ -202,9 +218,7 @@ def cmd_rate(cfg: RunConfig) -> list:
 
 def cmd_diagnostics(cfg: RunConfig) -> list:
     if cfg.dgp_n % cfg.partitions != 0:
-        raise ConfigError(
-            f"partitions={cfg.partitions} does not divide dgp.n={cfg.dgp_n}"
-        )
+        raise ConfigError(f"partitions={cfg.partitions} does not divide dgp.n={cfg.dgp_n}")
     kernel = cfg.kernel_spec()
     model = SpectralModel.from_matern(kernel, 1, cfg.diagnostics_truncation)
     rows = []
@@ -212,15 +226,8 @@ def cmd_diagnostics(cfg: RunConfig) -> list:
         check = diag_mod.check_trace_bound(model, rho)
         rows.append(("trace_bound", rho, check.lhs, check.rhs, check.ratio))
     for rho in cfg.diagnostics_rhos:
-        rows.append(
-            (
-                "effective_dimension",
-                rho,
-                effective_dimension(model, rho),
-                effective_dimension_tail(model, rho),
-                "",
-            )
-        )
+        dims = effective_dimension(model, rho), effective_dimension_tail(model, rho)
+        rows.append(("effective_dimension", rho, *dims, ""))
     # interpolation inequality over seeded random expansions
     j_interp = min(cfg.diagnostics_truncation, 256)
     interp_model = SpectralModel(model.decay_exponent, j_interp)

@@ -9,7 +9,9 @@ with p a polynomial of degree nu - 1/2, so no Bessel-function
 evaluation is ever needed.  The kernel is only evaluated as a matrix:
 ``cross_matrix`` and ``gram_matrix`` take one (n, d) point set or a
 stack of g sets, (g, n, d), and apply the closed form to a buffer of
-pairwise distances in place, one block at a time.  A block holds at
+pairwise distances in place, one block at a time.  In d = 1 the
+distance is |a - b|, one pass: sqrt(fl(x * x)) equals it unless x * x
+is subnormal (|x| < 1.5e-154), where |x| is exact.  A block holds at
 most ``ROW_BLOCK_ENTRIES`` = 2^16 entries: either the whole matrices of
 as many sets of the stack as fit, or, when one matrix does not fit,
 rows of one set.  Its distance buffer is 512 KB, so with the closed
@@ -93,28 +95,27 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -
     steps follow the closed form term by term, so the values are those
     of the written-out formula bit for bit.
     """
-    u = r
-    u *= np.sqrt(2.0 * spec.nu)
-    u /= spec.lengthscale
+    v = r  # v = -u: negation is exact, so each term below has the bits of its u form
+    v *= -np.sqrt(2.0 * spec.nu)
+    v /= spec.lengthscale
     if spec.nu == 0.5:
         poly.fill(1.0)
     else:
-        np.add(u, 1.0, out=poly)
+        np.subtract(1.0, v, out=poly)
     if spec.nu == 2.5:
-        term = u * u  # u * u / 3
+        term = v * v  # u * u / 3
         term /= 3.0
         poly += term
     elif spec.nu == 3.5:
-        term = u * 0.4  # 0.4 * u * u, then u * u * u / 15
-        term *= u
+        term = v * 0.4  # 0.4 * u * u, then u * u * u / 15
+        term *= v
         poly += term
-        np.multiply(u, u, out=term)
-        term *= u
+        np.multiply(v, v, out=term)
+        term *= v
         term /= 15.0
-        poly += term
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    poly *= u
+        poly -= term
+    np.exp(v, out=v)
+    poly *= v
 
 
 _kept = threading.local()
@@ -139,8 +140,10 @@ def _distance_buffer(shape) -> np.ndarray:
 
 def _kernel_rows(spec: KernelSpec, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """k(a_i, b_j) for one block: rows a (g, m, d) against b (g, n, d), into out."""
-    # squared distances, summed in coordinate order into one contiguous buffer
     r = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=_distance_buffer(out.shape))
+    if a.shape[-1] == 1:  # |x|, see the module docstring
+        return _matern_profile_inplace(spec, np.abs(r, out=r), out)
+    # squared distances, summed in coordinate order into one contiguous buffer
     r *= r
     for j in range(1, a.shape[-1]):
         diff = np.subtract(a[..., :, None, j], b[..., None, :, j])

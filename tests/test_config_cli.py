@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dncbands import cli
 from dncbands.cli import FLAGS, build_parser, main, read_csv, read_data_csv
 from dncbands.config import (
     KEYS,
@@ -221,6 +222,12 @@ def test_read_data_csv_errors(tmp_path):
         with pytest.raises(ValueError, match="line 3"):
             read_csv(short_row, with_y)
 
+        # every row one field too wide: numpy reads it, the header check does not
+        wide_rows = tmp_path / f"{name}_w.csv"
+        wide_rows.write_text(f"{header}\n0.1,2.0,3.0\n0.2,3.0,4.0\n")
+        with pytest.raises(ValueError, match="line 2: expected 2 fields, got 3"):
+            read_csv(wide_rows, with_y)
+
         bad_value = tmp_path / f"{name}_v.csv"
         bad_value.write_text(f"{header}\n0.1,huh\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -243,8 +250,96 @@ def test_read_data_csv_errors(tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             read_csv(header_only, with_y)
 
+        # Excel's "CSV UTF-8" starts with a byte-order mark, which is not data
+        bom = tmp_path / f"{name}_b.csv"
+        bom.write_bytes(f"\ufeff{header}\n0.1,2.0\n".encode())
+        assert read_csv(bom, with_y).tolist() == [[0.1, 2.0]]
+
+        # a byte that is not UTF-8 is named with the file and its line
+        undecodable = tmp_path / f"{name}_u.csv"
+        undecodable.write_bytes(f"{header}\n0.1,2.0\n0.2,3\xff\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=f"{re.escape(str(undecodable))}: line 3: .*0xff"):
+            read_csv(undecodable, with_y)
+
     with pytest.raises(ValueError, match="line 3"):
         read_data_csv(tmp_path / "data_s.csv")
+
+
+@pytest.fixture
+def reader_passes(monkeypatch):
+    """The ``scan`` flag of each pass that read_csv makes over its file."""
+    passes = []
+    real = cli._read_csv
+
+    def recorded(path, with_y, scan):
+        passes.append(scan)
+        return real(path, with_y, scan=scan)
+
+    monkeypatch.setattr(cli, "_read_csv", recorded)
+    return passes
+
+
+def hard_value_rows(rng, n, d):
+    """Rows of values that stress a float parser, each paired with its text."""
+    specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                1e-300, 0.1, 1 / 3, -123456789.12345678, 2.0**-1074 * 3]
+    rows = []
+    for i in range(n):
+        values = [float(rng.choice(specials)) if rng.uniform() < 0.3
+                  else float(rng.normal() * 10.0 ** rng.integers(-30, 30)) for _ in range(d)]
+        texts = []
+        for j, v in enumerate(values):
+            text = repr(v)  # the 17-digit form
+            if (i + j) % 3 == 1:
+                text = f"{v:.6e}"  # an exponent form that is not the repr
+                values[j] = float(text)
+            if (i + j) % 5 == 2 and not text.startswith("-"):
+                text = "+" + text
+            texts.append(" " * ((i + j) % 2) + text + "\t" * ((i + j) % 4 == 3))
+        rows.append((values, ",".join(texts)))
+    return rows
+
+
+@pytest.mark.parametrize("with_y, d", [(True, 1), (True, 3), (False, 1), (False, 3)])
+def test_read_csv_bitwise_equals_float_per_field(tmp_path, reader_passes, with_y, d):
+    # numpy's reader parses every row, with no line-by-line rescan, and
+    # gives the bytes that float() gives field by field
+    rng = np.random.default_rng(26)
+    width = d + with_y
+    lines = [",".join(f"x{j + 1}" for j in range(d)) + ",y" * with_y]
+    reference = []
+    for k, (values, text) in enumerate(hard_value_rows(rng, 400, width)):
+        if k % 37 == 5:
+            lines.append("")
+        if k % 41 == 7:
+            lines.append("# a comment between rows")
+        lines.append(text)
+        reference.append([float(field) for field in text.split(",")])
+        assert reference[-1] == values
+    path = tmp_path / "hard.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = read_csv(path, with_y)
+    assert reader_passes == [False]
+    assert got.shape == (400, width)
+    assert got.tobytes() == np.array(reference).tobytes()
+    tiny = np.abs(got[got != 0]) < 2.2250738585072014e-308
+    assert np.signbit(got[got == 0]).any() and tiny.any()  # -0.0 and subnormals
+
+
+def test_read_csv_inputs_whose_outcome_is_declared(tmp_path, reader_passes):
+    cases = {
+        # numpy's reader ends a row at "#", so a trailing note is a comment
+        "x1,y  # names\n0.1,2.0 # note\n": ([[0.1, 2.0]], [False]),
+        # numpy rejects these; the line-by-line reader reads them as before
+        "x1,y\n1_000,2\n": ([[1000.0, 2.0]], [False, True]),
+        "x1,y\n0.1,2.0\n  \n  # indented\n0.2,3\n": ([[0.1, 2.0], [0.2, 3.0]], [False, True]),
+    }
+    for k, (text, (rows, passes)) in enumerate(cases.items()):
+        path = tmp_path / f"case{k}.csv"
+        path.write_text(text)
+        reader_passes.clear()
+        assert read_csv(path, True).tolist() == rows
+        assert reader_passes == passes
 
 
 def test_read_data_csv_multi_dimensional(tmp_path):
@@ -352,6 +447,19 @@ def test_cmd_bands_resolution_guard(tmp_path, capsys):
     )
     assert code == 2
     assert "resolution guard" in capsys.readouterr().err
+
+
+def test_cmd_bands_rejects_one_partition_before_reading_data(tmp_path, capsys):
+    # with one partition every bootstrap delta is 0, so lower == upper == f_bar
+    data = tmp_path / "data.csv"
+    write_training_csv(data, n=200, seed=5)
+    out = tmp_path / "o"
+    assert run_cli(["bands", "--data", data, "--out", out, "--partitions", 1]) == 2
+    assert "partitions >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    missing = tmp_path / "missing.csv"
+    assert run_cli(["bands", "--data", missing, "--out", out, "--partitions", 1]) == 2
+    assert "partitions >= 2" in capsys.readouterr().err
 
 
 def band_intervals_from_csv(path):

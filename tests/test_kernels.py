@@ -138,6 +138,24 @@ def test_kernel_matrices_bitwise_equal_closed_form():
             a = rng.uniform(-2, 2, (40, 9))
             assert np.allclose(gram_matrix(spec, a), closed_form_cross(spec, a, a),
                                rtol=1e-13, atol=0.0)
+    rng = np.random.default_rng(26)
+    for nu in HALF_INTEGER_NUS:
+        spec = KernelSpec(nu=nu, lengthscale=0.05)
+        for d in (1, 2, 3):
+            a = rng.uniform(-0.5, 0.5, (40, d))
+            b = rng.uniform(-0.5, 0.5, (25, d))
+            assert np.array_equal(cross_matrix(spec, a, b), closed_form_cross(spec, a, b))
+            assert np.array_equal(gram_matrix(spec, a), closed_form_cross(spec, a, a))
+        # in d = 1 the distance is |x|, exact where x * x is subnormal and
+        # sqrt(x * x) has lost bits; the kernel value differs only because
+        # this lengthscale is tiny enough for u = sqrt(2 nu) |x| / l to matter
+        tiny = KernelSpec(nu=nu, lengthscale=1e-159)
+        pair = np.array([[0.0], [3e-160]])
+        exact = closed_form_profile(tiny, np.array([[0.0, 3e-160], [3e-160, 0.0]]))
+        assert np.array_equal(gram_matrix(tiny, pair), exact)
+        assert np.array_equal(cross_matrix(tiny, pair, pair), exact)
+        assert exact[0, 1] != closed_form_cross(tiny, pair, pair)[0, 1]  # the sqrt path
+        assert gram_matrix(spec, pair)[0, 1] == 1.0  # at lengthscale 0.05 both ways give 1.0
 
 
 @pytest.mark.parametrize("block", [1, 3, kernels.ROW_BLOCK_ENTRIES])
