@@ -17,7 +17,10 @@ depth count under a lock; a worker that restored on its own exit would
 unpin its siblings.  A copy that does not export both symbols is left alone.
 
 ``cho_factor`` and ``cho_solve`` keep the contract of their
-``scipy.linalg`` namesakes but call ``dpotrf``/``dpotrs`` of scipy's copy
+``scipy.linalg`` namesakes, except that ``cho_factor`` factors its
+Fortran-ordered argument in place, as ``overwrite_a=True`` may, and
+never copies it: ``krr`` factors a large partition's Gram without a
+second n x n buffer.  Both call ``dpotrf``/``dpotrs`` of scipy's copy
 through ctypes, which drops the GIL for the whole call.  scipy's f2py
 wrappers hold it, so the partition Choleskys of the ``threads`` workers
 ran one at a time; through ctypes they overlap.  It is the same LAPACK
@@ -144,26 +147,31 @@ def _potrs():
 
 
 def cho_factor(a, lower=False):
-    """Cholesky factor of the symmetric positive definite matrix ``a``.
+    """Cholesky factor of the symmetric positive definite matrix ``a``, in place.
 
-    Returns ``(c, lower)``: ``c`` is a Fortran-ordered copy of ``a`` whose
-    ``lower`` (or upper) triangle holds the factor; the other triangle
-    keeps ``a``'s entries.  Raises ``LinAlgError`` when ``a`` is not
-    positive definite.
+    ``a`` must be a float64, Fortran-contiguous, writeable square array:
+    its ``lower`` (or upper) triangle is overwritten with the factor and
+    the other triangle is left as it was.  Returns ``(a, lower)``.
+    Raises ``LinAlgError`` when ``a`` is not positive definite, with the
+    triangle partly overwritten.  Any other array raises ``ValueError``:
+    a copy made here would hide the buffer the caller meant to reuse,
+    and LAPACK handed a C-ordered array would factor its transpose.
     """
-    c = np.array(a, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {c.shape}")
-    n = c.shape[0]
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("expected a writeable float64 Fortran-contiguous array")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    n = a.shape[0]
     n_, info = ctypes.c_int(n), ctypes.c_int()
-    _potrf()(b"L" if lower else b"U", n_, c.ctypes.data, n_, info, 1)
+    _potrf()(b"L" if lower else b"U", n_, a.ctypes.data, n_, info, 1)
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"{info.value}-th leading minor of the array is not positive definite"
         )
     if info.value < 0:
         raise ValueError(f"illegal value in argument {-info.value} of dpotrf")
-    return c, lower
+    return a, lower
 
 
 def cho_solve(c_and_lower, b):

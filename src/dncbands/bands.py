@@ -132,18 +132,21 @@ def calibrate_prefixes(draws: BootstrapDraws, alpha: float, points) -> list[Band
     need = _min_inside_count(b_total, alpha)  # in [1, B] for alpha in (0, 1)
     cap = min(k_max, (b_total - need) // 2) + 1
     width = (1 << cap.bit_length()) - 1  # >= cap values, and at most 2 cap - 1 <= B
-    # the upper tail is the lower tail of the negated draws
+    # the upper tail is the lower tail of the negated draws; negation is
+    # exact, so the draws themselves are compared with the negated threshold
     sides = ((False, ordered[:, :width].copy()), (True, -ordered[:, ::-1][:, :width]))
     running = np.full(b_total, cap, dtype=np.intp)
     depth_at = {}
     start = 0
     for stop in sorted(set(points)):
+        block = deltas[:, start:stop]
         for negate, tails in sides:
-            block = -deltas[:, start:stop] if negate else deltas[:, start:stop]
             # an infinite threshold keeps a degenerate column out of the tail
             top = np.where(degenerate[start:stop], -np.inf, tails[start:stop, cap - 1])
-            b, t = np.divmod(np.flatnonzero(block <= top), stop - start)
-            np.minimum.at(running, b, _count_below(tails, t + start, block[b, t]))
+            b, t = np.divmod(np.flatnonzero(block >= -top if negate else block <= top),
+                             stop - start)
+            value = -block[b, t] if negate else block[b, t]
+            np.minimum.at(running, b, _count_below(tails, t + start, value))
         depth_at[stop] = running.copy()
         start = stop
 

@@ -36,7 +36,9 @@ def _weighted_deltas(values: np.ndarray, row_mean: np.ndarray, weights: np.ndarr
     """W @ (V - v_bar) / P, with constant columns of V centred to exactly 0."""
     constant = np.all(values == values[0], axis=0)
     centered = np.where(constant, 0.0, values - row_mean)
-    return weights @ centered / values.shape[0]
+    deltas = weights @ centered
+    deltas /= values.shape[0]
+    return deltas
 
 
 def resample_deltas(values: np.ndarray, row_mean: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -80,8 +80,9 @@ def _read_csv(path, with_y: bool, scan: bool) -> np.ndarray:
                 if dim < 1 or parts != [f"x{j + 1}" for j in range(dim)] + ["y"] * with_y:
                     raise DataError(f"{path}: header must be x1..xd{',y' * with_y}, got {line!r}")
                 continue
-            if not scan:  # this row and the rest of the file
-                data = np.loadtxt(chain([line], fh), delimiter=",", ndmin=2)
+            if not scan:  # this row and the rest of the file; numpy's reader
+                # would read a line of spaces, or an indented comment, as a field
+                data = np.loadtxt(map(str.lstrip, chain([line], fh)), delimiter=",", ndmin=2)
                 if data.shape[1] != width or not np.isfinite(data).all():
                     raise ValueError("ragged or non-finite rows")
                 return data

@@ -129,17 +129,26 @@ def fit_all_partitions(
     """Fit the base learner on every partition, evaluate at the points.
 
     Row p of the result is predict(fit(subsample p), points), bit for bit.
-    Partitions go to ``ordered_map`` in groups of as many n x n Grams as
-    fit in one kernel block (``kernels.ROW_BLOCK_ENTRIES`` entries, at
-    least one partition), so a group's kernel matrices cost one round of
-    short GIL-holding ufunc calls instead of one per partition.  A group
-    evaluates its stacked Grams, runs one ``krr.fit`` per partition on
-    them and drops them before it evaluates its stacked cross matrices;
-    each row is the gemv of ``krr.predict``.  The output is identical for
-    any thread count and core count: rows come back in partition order
-    and the mean reduces in order.  The pooled fits overlap in their BLAS
-    work and in their Choleskys, whose LAPACK calls drop the GIL.  A
-    failure raises the lowest failing partition's PartitionFitError.
+    Partitions go to ``ordered_map`` in groups of as many n x n Grams as fit
+    in one kernel block (``kernels.ROW_BLOCK_ENTRIES`` entries, at least one
+    partition), so a group's kernel matrices cost one round of short
+    GIL-holding ufunc calls instead of one per partition.  A group evaluates
+    its stacked Grams, runs one ``krr.fit`` per partition on them (a Gram
+    above one kernel block is its fit's one n x n buffer) and drops them.
+    It then predicts in blocks of points: a block's stacked cross matrices
+    hold at most one kernel block of entries, or 8 points per set when that
+    is more, and one ``np.matmul`` multiplies them by the group's dual
+    weights, a gemv per set.  So a worker holds a Gram or a cross block,
+    never a whole T x n cross matrix.  Block heights are multiples of 8, and
+    a last block of one row joins the one before it (``_row_blocks``):
+    OpenBLAS's gemv takes the rows in groups of 4, so such blocks give each
+    row the bits it gets in the whole T x n gemv of ``krr.predict``, while
+    heights such as 2, 3, 7 or 218 changed them in most shapes tried.  The
+    output is identical for any thread count and core count: rows come back
+    in partition order and the mean reduces in order.  The pooled fits
+    overlap in their BLAS work and in their Choleskys, whose LAPACK calls
+    drop the GIL.  A failure raises the lowest failing partition's
+    PartitionFitError.
     """
     if plan.total != sample.size:
         raise ValueError(
@@ -151,19 +160,37 @@ def fit_all_partitions(
     ys = sample.responses[order].reshape(count, n)
     pts = _as_points(points)
     group = max(1, kernels.ROW_BLOCK_ENTRIES // (n * n))
+    blocks = _row_blocks(len(pts), max(8, kernels.ROW_BLOCK_ENTRIES // (group * n) // 8 * 8))
+    values = np.empty((count, len(pts)))
 
     def run_group(lo):
         stack = xs[lo : lo + group]
         grams = krr.gram_matrix(kernel, stack)
-        fits = []
+        weights = np.empty((len(stack), n, 1))
         for p in range(lo, lo + len(stack)):
             try:
-                fits.append(krr.fit(krr.Sample(xs[p], ys[p]), kernel, rho, gram=grams[p - lo]))
+                fitted = krr.fit(krr.Sample(xs[p], ys[p]), kernel, rho, gram=grams[p - lo])
             except Exception as exc:  # tagged with the partition id
                 raise PartitionFitError(p, exc) from exc
+            weights[p - lo, :, 0] = fitted.dual_weights
         del grams  # so a worker never holds a Gram and a cross block at once
-        cross = krr.cross_matrix(kernel, pts, stack)
-        return [kx @ f.dual_weights for kx, f in zip(cross, fits)]
+        rows = values[lo : lo + len(stack), :, None]
+        for start, stop in blocks:
+            cross = krr.cross_matrix(kernel, pts[start:stop], stack)
+            np.matmul(cross, weights, out=rows[:, start:stop])
 
-    groups = ordered_map(run_group, range(0, count, group), threads)
-    return LocalPredictionMatrix.from_values(np.array([row for rows in groups for row in rows]))
+    ordered_map(run_group, range(0, count, group), threads)
+    return LocalPredictionMatrix.from_values(values)
+
+
+def _row_blocks(total: int, height: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of ``height`` rows covering ``total``.
+
+    A last block of one row is merged into the one before it: numpy
+    multiplies a one-row matrix by a vector with a dot product, not the
+    gemv that computes that row inside a taller block.
+    """
+    bounds = [*range(0, total, height), total]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))

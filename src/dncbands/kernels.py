@@ -18,18 +18,23 @@ rows of one set.  Its distance buffer is 512 KB, so with the closed
 form's one scratch buffer and its output block it stays in a core's L2
 cache, and the dozen elementwise passes of the closed form no longer
 stream (n, m) buffers through memory.  The calling thread keeps the
-distance buffer from block to block.  Smaller blocks cost more than
-they save when two threads fit partitions at once: each block is
-another round of short ufunc calls that hold the GIL.  For the same
+distance and scratch buffers from block to block.  Smaller blocks cost
+more than they save when two threads fit partitions at once: each block
+is another round of short ufunc calls that hold the GIL.  For the same
 reason small sets share blocks, so the partitions of a
 divide-and-conquer fit pay one round of calls per block, not one per
 partition.  Each block is written straight into the preallocated
-result.  ``gram_matrix`` evaluates a block of rows only up to its last
-row's column and mirrors the strictly lower triangle, then sets the
-diagonal.  Every entry goes through the same elementwise steps in the
-same order at any block size and stack size, so the values depend on
-neither, bit for bit.  In dimension d its eigenvalues decay
-polynomially with exponent b = 2 nu + d (``KernelSpec.decay_exponent``);
+result, except the rows of one large set's Gram: those lie 8 n bytes
+apart, and 64 Grams at n = 1024 took 0.38 s of thread CPU with the
+closed form's passes over such strided rows against 0.29 s without (a
+2-CPU VM), so they are evaluated in a contiguous scratch buffer that the
+thread keeps, then copied.  ``gram_matrix`` evaluates a block of rows
+only up to its last row's column and mirrors the strictly lower
+triangle from the block, then sets the diagonal.  Every entry goes
+through the same elementwise steps in the same order at any block size
+and stack size, so the values depend on neither, bit for bit.  In
+dimension d its eigenvalues decay polynomially with exponent
+b = 2 nu + d (``KernelSpec.decay_exponent``);
 the spectral model pins them to mu_j = j^(-b) exactly, which makes
 every diagnostic reproducible.
 """
@@ -91,7 +96,7 @@ def _as_points(x) -> np.ndarray:
 def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -> None:
     """Kernel values p(u) * exp(-u) at the distances r >= 0, into poly.
 
-    r is overwritten, and one more buffer of r's shape is used.  The
+    r is overwritten, and the thread's kept term buffer is used.  The
     steps follow the closed form term by term, so the values are those
     of the written-out formula bit for bit.
     """
@@ -103,11 +108,12 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -
     else:
         np.subtract(1.0, v, out=poly)
     if spec.nu == 2.5:
-        term = v * v  # u * u / 3
+        term = np.multiply(v, v, out=_scratch("term", v.shape))  # u * u / 3
         term /= 3.0
         poly += term
     elif spec.nu == 3.5:
-        term = v * 0.4  # 0.4 * u * u, then u * u * u / 15
+        # 0.4 * u * u, then u * u * u / 15
+        term = np.multiply(v, 0.4, out=_scratch("term", v.shape))
         term *= v
         poly += term
         np.multiply(v, v, out=term)
@@ -121,26 +127,28 @@ def _matern_profile_inplace(spec: KernelSpec, r: np.ndarray, poly: np.ndarray) -
 _kept = threading.local()
 
 
-def _distance_buffer(shape) -> np.ndarray:
-    """A contiguous buffer of ``shape`` for a block's distances.
+def _scratch(name: str, shape) -> np.ndarray:
+    """A contiguous buffer of ``shape`` that the calling thread keeps as ``name``.
 
-    The calling thread keeps it from block to block: a fresh 512 KB
-    buffer goes back to the system when it is freed and is faulted in
-    again by the next block, a few hundred page faults a block.  The
-    closed form's other buffer is left to the allocator, where each
-    fit's Cholesky copy can reuse its memory: kept too, it made a serial
-    desk trial of 256-row partitions about 15% slower on a 2-CPU VM.
+    The thread keeps it from block to block: a fresh 512 KB buffer goes
+    back to the system when it is freed and is faulted in again by the
+    next block, a few hundred page faults a block.  Three are kept: the
+    block's distances, the closed form's term and the rows of one large
+    set's Gram (``gram_matrix``).  With the term left to the allocator, a
+    desk-sized ``fit_all_partitions`` (N = 2^12, T = 64) took about 900
+    page faults a call at P = 64 and 3600 at P = 16, and 0 with it kept.
     """
     size = math.prod(shape)
-    buf = getattr(_kept, "distances", None)
+    buf = getattr(_kept, name, None)
     if buf is None or buf.size < size:
-        buf = _kept.distances = np.empty(max(size, ROW_BLOCK_ENTRIES))
+        buf = np.empty(max(size, ROW_BLOCK_ENTRIES))
+        setattr(_kept, name, buf)
     return buf[:size].reshape(shape)
 
 
 def _kernel_rows(spec: KernelSpec, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """k(a_i, b_j) for one block: rows a (g, m, d) against b (g, n, d), into out."""
-    r = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=_distance_buffer(out.shape))
+    r = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=_scratch("distances", out.shape))
     if a.shape[-1] == 1:  # |x|, see the module docstring
         return _matern_profile_inplace(spec, np.abs(r, out=r), out)
     # squared distances, summed in coordinate order into one contiguous buffer
@@ -200,8 +208,13 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     g, n = a3.shape[:2]
     k = np.empty((g, n, n))
     for sets, start, stop in _blocks(g, n, n):  # each block of rows up to its last column
-        _kernel_rows(spec, a3[sets, start:stop], a3[sets, :stop], k[sets, start:stop, :stop])
-        k[sets, :start, start:stop] = k[sets, start:stop, :start].swapaxes(1, 2)  # mirror
+        rows = k[sets, start:stop, :stop]
+        # rows of one large set lie 8 n bytes apart: evaluate them contiguously
+        block = rows if rows.flags.c_contiguous else _scratch("rows", rows.shape)
+        _kernel_rows(spec, a3[sets, start:stop], a3[sets, :stop], block)
+        if block is not rows:
+            rows[...] = block
+        k[sets, :start, start:stop] = block[..., :start].swapaxes(1, 2)  # mirror
     # exactly symmetric: a_i - a_j is -(a_j - a_i) in IEEE arithmetic
     k.reshape(g, n * n)[:, :: n + 1] = 1.0
     return k if a.ndim == 3 else k[0]

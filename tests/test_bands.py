@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from dncbands.bands import (
     covers,
     save_bands_csv,
 )
-from dncbands.bootstrap import BootstrapDraws
+from dncbands.bootstrap import BootstrapDraws, draw
+from dncbands.dnc import LocalPredictionMatrix
 
 
 def draws_of(deltas):
@@ -495,3 +498,22 @@ def test_save_bands_csv(tmp_path):
     first = lines[2].split(",")
     assert int(first[0]) == 0
     assert float(first[3]) == f_bar[0] - bands.upper[0]
+
+
+def test_a_multiplier_draw_and_its_calibration_hold_two_draw_matrices():
+    # the draws, then calibrate's sorted copy of them, plus weights, masks
+    # and tails of at most half as much; a second B x T temporary in either
+    # step, such as dividing W @ C into a new array or negating the draws,
+    # exceeds it
+    b, t = 1000, 512
+    matrix = LocalPredictionMatrix.from_values(np.random.default_rng(27).normal(size=(64, t)))
+    tracemalloc.start()
+    try:
+        draws = draw(matrix, b, 3, "multiplier")
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        calibrate(draws, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 1.5 * (8 * b * t), draw_peak
+    assert peak < 2.5 * (8 * b * t), peak

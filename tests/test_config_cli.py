@@ -313,6 +313,10 @@ def test_read_csv_bitwise_equals_float_per_field(tmp_path, reader_passes, with_y
             lines.append("")
         if k % 41 == 7:
             lines.append("# a comment between rows")
+        if k % 43 == 9:
+            lines.append(" \t ")
+        if k % 47 == 11:
+            lines.append("   # an indented comment")
         lines.append(text)
         reference.append([float(field) for field in text.split(",")])
         assert reference[-1] == values
@@ -330,9 +334,10 @@ def test_read_csv_inputs_whose_outcome_is_declared(tmp_path, reader_passes):
     cases = {
         # numpy's reader ends a row at "#", so a trailing note is a comment
         "x1,y  # names\n0.1,2.0 # note\n": ([[0.1, 2.0]], [False]),
-        # numpy rejects these; the line-by-line reader reads them as before
+        # numpy rejects this; the line-by-line reader reads it as before
         "x1,y\n1_000,2\n": ([[1000.0, 2.0]], [False, True]),
-        "x1,y\n0.1,2.0\n  \n  # indented\n0.2,3\n": ([[0.1, 2.0], [0.2, 3.0]], [False, True]),
+        # lines are stripped on the left, so numpy skips these as blank and comment
+        "x1,y\n0.1,2.0\n  \n  # indented\n0.2,3\n": ([[0.1, 2.0], [0.2, 3.0]], [False]),
     }
     for k, (text, (rows, passes)) in enumerate(cases.items()):
         path = tmp_path / f"case{k}.csv"

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dncbands import _blas, dnc
+from dncbands import _blas, dnc, kernels
 from dncbands.dnc import (
     LocalPredictionMatrix,
     PartitionFitError,
@@ -169,10 +170,13 @@ def test_grouped_fits_equal_per_partition_fits_bit_for_bit(nu):
     spec = KernelSpec(nu=nu, lengthscale=0.3)
     # (n, P, d, T): Grams of several partitions per kernel block, the last
     # group short (n = 3, 16, 64), one partition per block (256), rows of
-    # one partition (300), two covariates, and cross matrices whose T * n
-    # exceeds one block (64 x 1100, 300 x 300)
+    # one partition (300, 1024), two covariates, and cross matrices whose
+    # T * n exceeds one block (64 x 1100, 300 x 300), so that the points go
+    # in blocks: of 64 rows with a 1-row tail (1024 x 193) and of 16 rows
+    # for a group of 256 sets (16 x 512)
     for n, p, d, t in ((3, 7, 1, 5), (16, 260, 1, 9), (64, 20, 1, 33), (256, 3, 1, 17),
-                       (300, 2, 1, 300), (64, 5, 2, 12), (64, 3, 1, 1100)):
+                       (300, 2, 1, 300), (64, 5, 2, 12), (64, 3, 1, 1100),
+                       (1024, 2, 1, 3 * 64 + 1), (16, 256, 1, 512)):
         rng = np.random.default_rng(n + p + d)
         x = rng.uniform(0, 1, (n * p, d))
         sample = Sample(x, np.sin(2 * np.pi * x[:, 0]) + rng.normal(size=n * p))
@@ -182,6 +186,23 @@ def test_grouped_fits_equal_per_partition_fits_bit_for_bit(nu):
         for threads in (1, 2):
             got = fit_all_partitions(sample, plan, spec, 1e-3, points, threads=threads)
             assert got.values.tobytes() == want.tobytes(), (n, p, d, t, threads)
+
+
+def test_a_fit_holds_one_gram_and_a_few_kernel_blocks():
+    # a second n x n buffer (a Fortran copy of the shifted Gram) or a whole
+    # T x n cross matrix would exceed this
+    n, t = 1024, 512
+    sample = sample_for(2 * n, seed=27)
+    plan = make_partition_plan(2 * n, 2, seed=0)
+    points = np.linspace(0, 1, t)
+    fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points)  # makes the kept scratch
+    tracemalloc.start()
+    try:
+        fit_all_partitions(sample, plan, KernelSpec(), 1e-3, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n + 4 * 8 * kernels.ROW_BLOCK_ENTRIES, peak
 
 
 def test_non_finite_points_are_rejected_before_any_fit(monkeypatch):

@@ -192,23 +192,27 @@ def test_jitter_ladder_exhaustion_reports_attempts():
 
 
 def test_factoring_the_transpose_keeps_every_bit(monkeypatch):
-    # oracle: the same fits with the C-ordered shifted Gram handed to cho_factor
-    systems = (  # n, nu, lengthscale, rho, noise, (factor failures, solves)
-        (64, 3.5, 1.0, 1e-3, 1.0, (0, 1)),
-        (300, 3.5, 1.0, 1e-4, 1.0, (0, 1)),
-        (1024, 3.5, 1.0, 1e-5, 1.0, (0, 1)),
-        (64, 2.5, 1.0, 1e-9, 1.0, (0, 2)),  # needs the refinement step
-        (300, 3.5, 1.0, 1e-18, 0.0, (1, 1)),  # climbs the jitter ladder
+    # oracle: the same fits with a C-ordered copy of the shifted Gram factored,
+    # so the fit's own matrix is never overwritten by the factor; from n = 257
+    # on the fit factors its Gram in place and restores it
+    systems = (  # n, nu, lengthscale, rho, noise, (factor failures, factors, solves)
+        (64, 3.5, 1.0, 1e-3, 1.0, (0, 1, 1)),
+        (300, 3.5, 1.0, 1e-4, 1.0, (0, 1, 1)),
+        (1024, 3.5, 1.0, 1e-5, 1.0, (0, 1, 1)),
+        (64, 2.5, 1.0, 1e-9, 1.0, (0, 2, 2)),  # the refinement step factors again
+        (300, 1.5, 1.0, 1e-9, 1.0, (0, 2, 2)),  # and again after a restore
+        (300, 3.5, 1.0, 1e-18, 0.0, (1, 2, 1)),  # climbs the jitter ladder
     )
     for n, nu, lengthscale, rho, noise, path in systems:
         sample = random_sample(n, seed=n, noise=noise)
         kernel = KernelSpec(nu=nu, lengthscale=lengthscale)
         got = fit(sample, kernel, rho).dual_weights
-        seen = {"failures": 0, "solves": 0}
+        seen = {"failures": 0, "factors": 0, "solves": 0}
 
         def c_ordered_factor(m, **kwargs):
             a = m.T
             assert a.flags.c_contiguous and np.array_equal(a, m)
+            seen["factors"] += 1
             try:
                 return cho_factor(a, **kwargs)
             except LinAlgError:
@@ -223,7 +227,7 @@ def test_factoring_the_transpose_keeps_every_bit(monkeypatch):
             patch.setattr(krr, "cho_factor", c_ordered_factor)
             patch.setattr(krr, "cho_solve", counted_solve)
             want = fit(sample, kernel, rho).dual_weights
-        assert (seen["failures"], seen["solves"]) == path
+        assert (seen["failures"], seen["factors"], seen["solves"]) == path
         assert np.array_equal(got, want)
 
 
@@ -234,10 +238,12 @@ def test_gil_free_cholesky_matches_scipy_bit_for_bit(n):
     a.flat[:: n + 1] += n * 1e-3
     rhs = (sample.responses, np.column_stack([sample.responses, np.cos(sample.responses)]))
     with _blas.one_thread():
-        got = krr.cho_factor(a.T, lower=True)
+        mine = a.T.copy(order="F")
+        got = krr.cho_factor(mine, lower=True)
         want = cho_factor(a.T, lower=True)
         solutions = [(krr.cho_solve(got, b), cho_solve(want, b)) for b in rhs]
     assert got[1] is want[1] is True
+    assert got[0] is mine  # factored in place
     assert np.array_equal(got[0], want[0])
     for got_x, want_x in solutions:
         assert np.array_equal(got_x, want_x)
@@ -245,12 +251,21 @@ def test_gil_free_cholesky_matches_scipy_bit_for_bit(n):
 
 def test_gil_free_cholesky_rejects_an_indefinite_matrix_and_bad_shapes():
     with pytest.raises(LinAlgError):
-        krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True)
+        krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]], order="F"), lower=True)
     # LAPACK would read past a buffer shorter than the shapes it is told
-    for a in (np.ones((2, 3)), np.ones(3), np.empty((0, 0))):
+    for a in (np.ones((2, 3), order="F"), np.ones(3), np.empty((0, 0), order="F")):
         with pytest.raises(ValueError):
             krr.cho_factor(a, lower=True)
-    factor = krr.cho_factor(2.0 * np.eye(3), lower=True)
+    # anything but a writeable float64 Fortran-ordered array: LAPACK would factor
+    # a C-ordered one's transpose, and a converted copy would leave it unfactored
+    spd = np.array([[2.0, 1.0], [0.5, 2.0]])
+    read_only = np.asfortranarray(spd)
+    read_only.flags.writeable = False
+    for a in (spd, spd.astype(np.float32, order="F"), read_only, spd.T.tolist()):
+        with pytest.raises(ValueError, match="Fortran"):
+            krr.cho_factor(a, lower=True)
+    assert np.array_equal(spd, [[2.0, 1.0], [0.5, 2.0]])
+    factor = krr.cho_factor(np.asfortranarray(2.0 * np.eye(3)), lower=True)
     for b in (np.ones(2), np.ones((4, 2)), np.float64(1.0)):
         with pytest.raises(ValueError):
             krr.cho_solve(factor, b)
@@ -277,7 +292,7 @@ def test_concurrent_lapack_calls_match_serial_ones():
 
     def solve(system):
         a, y = system
-        return krr.cho_solve(krr.cho_factor(a.T, lower=True), y)
+        return krr.cho_solve(krr.cho_factor(a.T.copy(order="F"), lower=True), y)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
